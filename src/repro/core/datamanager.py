@@ -111,11 +111,6 @@ class DataManager:
         if self.tiering is not None:
             self.tiering.unpin(buffer_ids)
 
-    def mem_charge(self, buffer: Buffer, node: int) -> None:
-        """Account device bytes the head committed to materializing."""
-        if self.tiering is not None:
-            self.tiering.charge(node, buffer)
-
     def mem_release(self, buffer: Buffer, node: int) -> None:
         """Account a completed physical DELETE on ``node``."""
         if self.tiering is not None:

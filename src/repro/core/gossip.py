@@ -181,10 +181,6 @@ class GossipMembership:
     def _alive(self, node: int) -> bool:
         return not self.events.node_failed(node) and node not in self._dead
 
-    def view_of(self, node: int) -> dict[int, tuple[str, int]]:
-        """``node``'s membership deviations (absent ⇒ alive, inc 0)."""
-        return dict(self._views[node])
-
     def dead_view(self, node: int) -> frozenset[int]:
         """The set of peers ``node``'s view holds confirmed dead."""
         return frozenset(

@@ -85,8 +85,9 @@ class _Shard:
         self.manager = manager
         self.nodes = nodes
         self.slots: Resource | None = None
-        #: Live control-frame processes (interrupted on failover).
-        self.procs: set = set()
+        #: Live control-frame processes (interrupted on failover), in
+        #: spawn order: a set would interrupt them in address order.
+        self.procs: dict = {}
         #: Task ids ever handed to a control frame this epoch.
         self.issued: set[int] = set()
         #: producer task id → subscriber shard ids (never popped: kept
@@ -352,10 +353,10 @@ class ShardedRuntime:
                 except SimulationError as exc:
                     fail_run(exc)
                 finally:
-                    shard.procs.discard(proc)
+                    shard.procs.pop(proc, None)
 
             proc = sim.process(body(), name=f"task:{task.name}")
-            shard.procs.add(proc)
+            shard.procs[proc] = None
 
         def complete(task: Task) -> None:
             nonlocal pending

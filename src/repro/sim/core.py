@@ -214,7 +214,6 @@ class Process(Event):
             if self._value is not _PENDING:  # interrupted after completion
                 return
             self._started = True
-            self.sim._active_process = self
             try:
                 if throw is not None:
                     nxt = self._gen.throw(throw)
@@ -230,8 +229,6 @@ class Process(Event):
                     self.sim._crash = exc
                 self.fail(exc)
                 return
-            finally:
-                self.sim._active_process = None
 
             if not isinstance(nxt, Event):
                 err = SimulationError(
@@ -286,7 +283,6 @@ class Simulator:
         self._fast: deque[tuple[float, int, Event]] = deque()
         self._fastpath = _FASTPATH_DEFAULT if fastpath is None else bool(fastpath)
         self._seq = 0
-        self._active_process: Process | None = None
         self._crash: BaseException | None = None
         self._processes: list[Process] = []
         self._compact_at = 64
@@ -298,10 +294,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        return self._active_process
 
     # -- construction helpers ----------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -353,28 +345,6 @@ class Simulator:
             heapq.heappush(self._heap, (self._now + delay, priority, seq, event))
 
     # -- main loop -------------------------------------------------------------
-    def _pop_next(self) -> tuple[float, int, Event]:
-        """Remove and return the next ``(time, priority, event)``."""
-        fast = self._fast
-        if fast:
-            when, seq, event = fast[0]
-            if self._heap and self._heap[0] < (when, NORMAL, seq):
-                when, prio, _seq, event = heapq.heappop(self._heap)
-                return when, prio, event
-            fast.popleft()
-            return when, NORMAL, event
-        when, prio, _seq, event = heapq.heappop(self._heap)
-        return when, prio, event
-
-    def step(self) -> None:
-        """Process the single next event."""
-        when, _prio, event = self._pop_next()
-        self._now = when
-        event._process()
-        if self._crash is not None:
-            crash, self._crash = self._crash, None
-            raise crash
-
     def run(
         self,
         until: "float | Event | None" = None,

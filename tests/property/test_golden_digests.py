@@ -53,9 +53,8 @@ FAST = OMPCConfig(
     task_creation_overhead=0.0, schedule_unit_cost=0.0,
 )
 
-#: name -> (SHA-256 of the event stream, makespan, ``sim._seq``).  A
-#: ``None`` digest pins only the makespan and the event count.
-GOLDEN: dict[str, tuple[str | None, float, int]] = {
+#: name -> (SHA-256 of the event stream, makespan, ``sim._seq``).
+GOLDEN: dict[str, tuple[str, float, int]] = {
     "ft_head_failover": (
         "b1406277b0ab0960506df6ffe64758d8a807c04bcf4f4b69ef4723b32973ac94",
         0.12004934399999999, 8000,
@@ -89,7 +88,7 @@ GOLDEN: dict[str, tuple[str | None, float, int]] = {
         0.48613855458141, 193346,
     ),
     "sharded_manager_failover": (
-        None,
+        "3ae243d78107754365818e797b5b5163088722194b49d565bfc0184adce4eedb",
         0.8319539297424778, 648169,
     ),
     "taskbench_all_to_all": (
@@ -318,8 +317,7 @@ def test_event_stream_matches_golden(name):
     assert (makespan, events) == (want_makespan, want_events), (
         f"{name}: makespan/event count moved"
     )
-    if want_digest is not None:
-        assert digest == want_digest, f"{name}: event stream reordered"
+    assert digest == want_digest, f"{name}: event stream reordered"
 
 
 def test_every_scenario_is_pinned():
@@ -327,7 +325,7 @@ def test_every_scenario_is_pinned():
 
 
 if __name__ == "__main__":
-    print("GOLDEN: dict[str, tuple[str | None, float, int]] = {")
+    print("GOLDEN: dict[str, tuple[str, float, int]] = {")
     for _name in sorted(SCENARIOS):
         _d, _m, _e = record(_name)
         print(f'    "{_name}": (\n        "{_d}",\n        {_m!r}, {_e},\n    ),')
