@@ -8,7 +8,7 @@ Usage::
     python -m repro.bench jobs --policy all --quick
     python -m repro.bench jobs --overload --load 1 3 10
     python -m repro.bench check <scenario>
-    python -m repro.bench perf --out BENCH_jobs.json
+    python -m repro.bench perf --kernel-out BENCH_kernel.json
 
 Each YAML file describes one experiment (see
 :class:`repro.bench.config.ExperimentConfig`); the launcher runs the

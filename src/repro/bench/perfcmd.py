@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.bench perf
-    python -m repro.bench perf --quick --out BENCH_jobs.json
+    python -m repro.bench perf --quick --kernel-out BENCH_kernel.json
     python -m repro.bench perf --check BENCH_kernel.json
 
 Times representative workloads — Fig. 5-style Task Bench scalability
@@ -12,15 +12,11 @@ bench (backfill workload and the elastic overload scenario) — and
 records, per cell, the host wall time, the number of simulation events
 processed, the resulting events/second, and the simulated makespan.
 
-Two JSON artifacts come out of a run:
-
-* ``BENCH_jobs.json`` (``--out``) keeps the original flat cell list —
-  the schema earlier baselines used.
-* ``BENCH_kernel.json`` (``--kernel-out``) is the kernel-optimization
-  trajectory: the same cells plus the recorded pre-optimization
-  (:data:`PR6_BASELINE`) reference, per-cell speedups, and a
-  machine-calibration score that lets ``--check`` compare throughput
-  across hosts.
+A run writes ``BENCH_kernel.json`` (``--kernel-out``), the
+kernel-optimization trajectory: the cells plus the recorded
+pre-optimization (:data:`PR6_BASELINE`) reference, per-cell speedups,
+and a machine-calibration score that lets ``--check`` compare
+throughput across hosts.
 
 ``--check`` is the CI regression guard: it re-runs the quick cells and
 fails if (a) any event count or makespan drifts from the recorded
@@ -46,7 +42,6 @@ from repro.taskbench.bench import build_omp_program
 #: Reference fabric bandwidth for CCR-derived payload sizes (§6.1).
 DEFAULT_BANDWIDTH = 100e9 / 8.0
 
-SCHEMA = "repro-perf/1"
 KERNEL_SCHEMA = "repro-kernel-perf/1"
 
 #: Maximum tolerated drop in calibration-normalized events/second
@@ -291,11 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench perf",
         description="Measure simulator throughput (events/sec + "
-        "makespan) on representative workloads and emit JSON "
-        "baselines for perf regression tracking.",
+        "makespan) on representative workloads and emit a JSON "
+        "baseline for perf regression tracking.",
     )
-    parser.add_argument("--out", type=Path, default=Path("BENCH_jobs.json"),
-                        help="output JSON path (default: BENCH_jobs.json)")
     parser.add_argument("--kernel-out", type=Path,
                         default=Path("BENCH_kernel.json"),
                         help="kernel-trajectory JSON path "
@@ -318,16 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         cells += _full_cells()
     for cell in cells:
         _print_cell(cell)
-
-    payload = {
-        "schema": SCHEMA,
-        "quick": args.quick,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cells": cells,
-    }
-    args.out.write_text(json.dumps(payload, indent=2))
-    print(f"perf baseline -> {args.out}")
 
     kernel_payload = {
         "schema": KERNEL_SCHEMA,

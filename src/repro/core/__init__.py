@@ -37,13 +37,6 @@ from repro.core.gossip import GossipMembership
 from repro.core.headlog import HeadLog, LogRecord, Replicator
 from repro.core.memory import DeviceMemory, DeviceMemoryError
 from repro.core.runtime import OMPCRunResult, OMPCRuntime
-from repro.core.shard import (
-    ShardDirectory,
-    ShardedRuntime,
-    ShardPlaneError,
-    ShardRunResult,
-    ShardStats,
-)
 from repro.core.scheduler import (
     HeftScheduler,
     MinLoadScheduler,
@@ -87,3 +80,19 @@ __all__ = [
     "ShardStats",
     "ShardedRuntime",
 ]
+
+#: Sharded-plane exports, imported on first access: a single-head run
+#: never loads :mod:`repro.core.shard` (``OMPCRuntime.launch`` imports
+#: it only for ``head_shards > 1``).
+_SHARD_EXPORTS = frozenset({
+    "ShardDirectory", "ShardedRuntime", "ShardPlaneError",
+    "ShardRunResult", "ShardStats",
+})
+
+
+def __getattr__(name: str):
+    if name in _SHARD_EXPORTS:
+        from repro.core import shard
+
+        return getattr(shard, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

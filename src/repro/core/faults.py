@@ -64,23 +64,21 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.analysis.findings import AnalysisReport
-from repro.analysis.hooks import Analysis
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
 from repro.core.datamanager import HOST, DataManager, Move
+from repro.core.engine import Engine, bind_cluster
 from repro.core.events import EventSystem
 from repro.core.faultmodel import FaultPlan
 from repro.core.headlog import HeadLog, Replicator
-from repro.core.memory import DeviceMemoryError
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
-from repro.core.tiering import MemoryWait, make_policy
+from repro.core.tiering import MemoryWait
 from repro.mpi.comm import MpiWorld, TransportConfig
 from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
 from repro.omp.task import Buffer, Task, TaskKind
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.primitives import AnyOf
-from repro.sim.resources import Resource
 from repro.util.units import MILLISECOND
 
 #: Ring-communicator tags: heartbeats, suspect reports to the head.
@@ -646,6 +644,9 @@ class FTRunResult:
     reexecuted_tasks: int = 0
     task_attempts: dict[int, int] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
+    #: Bytes moved over the fabric during the run.
+    network_bytes: float = 0.0
+    network_messages: int = 0
     #: Suspect→confirm outcomes: suspicions the head's ping cleared, and
     #: detection errors against ground truth (a false positive is an
     #: alive node declared dead; a false negative is a crashed node the
@@ -755,38 +756,22 @@ class FaultTolerantRuntime:
         """
         program.validate()
         failures = tuple(failures)
-        if cluster is None:
-            cluster = Cluster(self.cluster_spec)
-        else:
-            if cluster.num_nodes != self.cluster_spec.num_nodes:
-                raise ValueError(
-                    f"cluster has {cluster.num_nodes} nodes, spec expects "
-                    f"{self.cluster_spec.num_nodes}"
-                )
-            if fault_plan is not None:
-                raise ValueError(
-                    "fault_plan must be installed on the physical cluster, "
-                    "not passed to a launch on a shared cluster view"
-                )
+        shared = cluster is not None
+        cluster = bind_cluster(self.cluster_spec, cluster)
+        if shared and fault_plan is not None:
+            raise ValueError(
+                "fault_plan must be installed on the physical cluster, "
+                "not passed to a launch on a shared cluster view"
+            )
         self.last_cluster = cluster
-        sim = cluster.sim
-        t0 = sim.now
-        if self.config.trace and not cluster.obs.enabled:
-            # Must precede MpiWorld/EventSystem construction — both
-            # capture ``cluster.obs`` when built.
-            cluster.install_observer(Observer(sim))
-        if self.config.analysis and not cluster.analysis.enabled:
-            # Likewise captured at construction time by MpiWorld and the
-            # event system.
-            cluster.install_analysis(Analysis())
-        analysis = cluster.analysis
         active = fault_plan.install(cluster) if fault_plan is not None else None
         transport = self.transport
         ambient = active if active is not None else cluster.faults
         if transport is None and ambient is not None and ambient.plan.lossy:
             transport = TransportConfig()
-        mpi = MpiWorld(cluster, transport=transport)
-        events = EventSystem(cluster, mpi, self.config)
+        engine = Engine(cluster, self.config, program, transport=transport)
+        sim, mpi, events, dm = engine.sim, engine.mpi, engine.events, engine.dm
+        analysis, tiering, graph = engine.analysis, engine.tiering, engine.graph
         cfg = self.config
         if cfg.gossip:
             # SWIM-style gossip membership (repro.core.gossip): O(1)
@@ -814,28 +799,6 @@ class FaultTolerantRuntime:
                 ping_timeout=cfg.heartbeat_ping_timeout,
                 use_wheel=self.heartbeat_wheel,
             )
-        dm = DataManager(analysis=analysis if analysis.enabled else None)
-        if cfg.device_memory_bytes > 0 and cfg.eviction_policy != "none":
-            # Tiered data plane (repro.core.tiering) under fault
-            # tolerance: same capacity mirror as the plain runtime, with
-            # MemoryPressure windows shrinking the effective budget.
-            run_faults = getattr(cluster, "faults", None)
-
-            def capacity_fn(node, base, _f=run_faults):
-                factor_of = getattr(_f, "capacity_factor", None)
-                if factor_of is None:
-                    return base
-                return base * factor_of(node, sim.now)
-
-            dm.configure_tiering(
-                {n: cfg.device_memory_bytes
-                 for n in range(1, cluster.num_nodes)},
-                make_policy(cfg.eviction_policy),
-                capacity_fn=capacity_fn,
-            )
-        tiering = dm.tiering
-        analysis.program_begin(program)
-        graph = program.graph
 
         # -- head-state replication (head failover) ----------------------
         # Standbys are the lowest-id workers; they keep executing tasks
@@ -855,7 +818,7 @@ class FaultTolerantRuntime:
             repl = None
 
         schedule = self.scheduler.schedule(graph, cluster)
-        result = FTRunResult(makespan=0.0, schedule=schedule)
+        result = engine.result = FTRunResult(makespan=0.0, schedule=schedule)
 
         #: Every mapped buffer by id (bootstrap snapshots, log replay).
         all_buffers: dict[int, Buffer] = {}
@@ -875,7 +838,7 @@ class FaultTolerantRuntime:
         remaining = {t.task_id: graph.in_degree(t) for t in graph.tasks()}
         pending = len(remaining)
         all_done = sim.event("all-tasks-done")
-        slots = Resource(sim, capacity=cfg.head_threads, name="head-threads")
+        slots = engine.slots
         #: Which task last produced each buffer's current value.
         writer_of: dict[int, Task] = {}
         #: Monotone write counter per buffer (checkpoint freshness).
@@ -1078,31 +1041,6 @@ class FaultTolerantRuntime:
                     continue
                 return
 
-        def fetch_gate(buffer: Buffer, dst: int):
-            """Tiered only: fault-injected fetch failures with retry.
-
-            Under a MemoryPressure arm with ``fetch_fail_prob``, a
-            fetch toward ``dst`` may fail before any bytes move; retry
-            with exponential backoff up to ``mem_fetch_retries`` times,
-            then give up with a buffer-attributed error.  No fault
-            plan (or no pressure window) costs zero extra yields.
-            """
-            fails = getattr(cluster.faults, "fetch_fails", None) \
-                if cluster.faults is not None else None
-            if fails is None:
-                return
-            attempt = 0
-            while fails(dst, sim.now):
-                attempt += 1
-                cluster.trace.count("mem.fetch_retries")
-                if attempt > cfg.mem_fetch_retries:
-                    raise DeviceMemoryError(
-                        f"fetch of buffer {buffer.name} toward node "
-                        f"{dst} still failing after "
-                        f"{cfg.mem_fetch_retries} retries"
-                    )
-                yield sim.timeout(cfg.mem_fetch_backoff * 2 ** (attempt - 1))
-
         def safe_source_move(buffer: Buffer, dst: int, chain: frozenset = frozenset()):
             """Generator: materialize ``buffer`` on ``dst``.
 
@@ -1111,7 +1049,7 @@ class FaultTolerantRuntime:
             (the whole task attempt restarts elsewhere).
             """
             if tiering is not None and dst != home:
-                yield from fetch_gate(buffer, dst)
+                yield from engine.fetch_gate(buffer, dst)
             while True:
                 yield from ensure_available(buffer, chain)
                 locations = dm.locations(buffer) - dead
@@ -1792,12 +1730,7 @@ class FaultTolerantRuntime:
                 # from the replayed directory: every replica the log
                 # still knows about is charged; replicas the log forgot
                 # are tombstones the eviction pass collects naturally.
-                dm.configure_tiering(
-                    {n: cfg.device_memory_bytes
-                     for n in range(1, cluster.num_nodes)},
-                    make_policy(cfg.eviction_policy),
-                    capacity_fn=tiering.capacity_fn,
-                )
+                engine.configure_tiering(dm)
                 tiering = dm.tiering
                 for bid in sorted(all_buffers):
                     buf = all_buffers[bid]
@@ -1928,10 +1861,7 @@ class FaultTolerantRuntime:
                 # started — nothing to tear down there.
                 ckpt_stop = True
                 ring.stop()
-                if events._started:
-                    for node in range(cluster.num_nodes):
-                        if not events.node_failed(node):
-                            events.fail_node(node)
+                engine.abort()
                 raise
 
         def main_body():
@@ -1989,10 +1919,9 @@ class FaultTolerantRuntime:
         main_proc = sim.process(main(), name="ompc-ft-main")
 
         def finish() -> FTRunResult:
-            result.makespan = sim.now - t0
+            engine.finish(failed=dead)
             result.detections = list(ring.detections)
             result.task_attempts = dict(attempts)
-            result.counters = dict(cluster.trace.counters)
             result.suspicions_cleared = ring.suspicions_cleared
             result.false_positive_detections = ring.false_positives
             declared = {d for d, _by, _t in ring.detections}
@@ -2012,19 +1941,6 @@ class FaultTolerantRuntime:
             if active is not None:
                 result.counters["faults.dropped_messages"] = (
                     active.dropped_messages
-                )
-            if cluster.obs.enabled:
-                # Fold the transport + event-system tallies into the
-                # observer so one object carries the whole run's metrics.
-                for stat, value in mpi.stats.items():
-                    cluster.obs.count(f"mpi.transport.{stat}", value)
-                for counter_name, value in cluster.trace.counters.items():
-                    cluster.obs.count(counter_name, value)
-                result.obs = cluster.obs
-            if analysis.enabled:
-                result.analysis = analysis.finalize(
-                    [mpi], failed=events._failed | set(dead),
-                    obs=cluster.obs,
                 )
             return result
 

@@ -28,20 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.findings import AnalysisReport
-from repro.analysis.hooks import Analysis
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
-from repro.core.datamanager import HOST, DataManager, Move
-from repro.core.events import EventSystem
-from repro.core.memory import DeviceMemoryError
-from repro.core.tiering import MemoryWait, make_policy
+from repro.core.engine import Engine, bind_cluster
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
-from repro.mpi.comm import MpiWorld
 from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
-from repro.omp.task import Task, TaskKind
-from repro.sim.primitives import AllOf, AnyOf
-from repro.sim.resources import Resource
 
 
 @dataclass
@@ -146,669 +138,23 @@ class OMPCRuntime:
             self.last_cluster = self._sharded.last_cluster
             return main_proc, finish
         program.validate()
-        if cluster is None:
-            cluster = Cluster(self.cluster_spec)
-        elif cluster.num_nodes != self.cluster_spec.num_nodes:
-            raise ValueError(
-                f"cluster has {cluster.num_nodes} nodes, spec expects "
-                f"{self.cluster_spec.num_nodes}"
-            )
+        cluster = bind_cluster(self.cluster_spec, cluster)
         self.last_cluster = cluster
-        sim = cluster.sim
-        t0 = sim.now
-        if self.config.trace and not cluster.obs.enabled:
-            # Must precede MpiWorld/EventSystem construction — both
-            # capture ``cluster.obs`` when built.  On a ClusterView this
-            # attaches to the view only, keeping job traces isolated.
-            cluster.install_observer(Observer(sim))
-        obs = cluster.obs
-        if self.config.analysis and not cluster.analysis.enabled:
-            # Like the observer: must precede MpiWorld/EventSystem
-            # construction, which capture ``cluster.analysis``.
-            cluster.install_analysis(Analysis())
-        analysis = cluster.analysis
-        mpi = MpiWorld(cluster)
-        events = EventSystem(cluster, mpi, self.config)
-        dm = DataManager(analysis=analysis if analysis.enabled else None)
-        analysis.program_begin(program)
-        trace = cluster.trace
-        cfg = self.config
-
-        # Tiered device→host→remote store (repro.core.tiering): enabled
-        # only with a finite capacity *and* a policy, so the default
-        # config keeps the event stream bit-identical to the un-tiered
-        # kernel (overflow stays a fatal DeviceMemoryError).
-        if cfg.device_memory_bytes > 0 and cfg.eviction_policy != "none":
-            run_faults = getattr(cluster, "faults", None)
-
-            def capacity_fn(node: int, base: float) -> float:
-                factor_of = getattr(run_faults, "capacity_factor", None)
-                if factor_of is None:
-                    return base
-                return base * factor_of(node, sim.now)
-
-            dm.configure_tiering(
-                {
-                    n: cfg.device_memory_bytes
-                    for n in range(1, cluster.num_nodes)
-                },
-                make_policy(cfg.eviction_policy),
-                capacity_fn=capacity_fn,
-            )
-        tiering = dm.tiering
-        #: In-flight eviction markers, by buffer id (planners must not
-        #: read a buffer whose spill/drop is mid-flight) and by node
-        #: (MemoryWait waits for the node's in-flight evictions).
-        evicting_bufs: dict[int, set] = {}
-        evict_markers: dict[int, set] = {}
-        #: Memory-release turnstile: planners blocked on other frames'
-        #: pins wait on the current event; any unpin/release fires and
-        #: replaces it.  Fired only while someone waits, so an enabled
-        #: but never-pressured run adds zero events.
-        mem_turn = [sim.event("mem-freed")]
-        mem_waiters = [0]
-
-        def mem_wake() -> None:
-            if mem_waiters[0] == 0:
-                return
-            ev = mem_turn[0]
-            mem_turn[0] = sim.event("mem-freed")
-            if not ev.triggered:
-                ev.succeed()
-
-        graph = program.graph
-        result = OMPCRunResult(
+        engine = Engine(cluster, self.config, program)
+        # Scheduling happens inside the main process in simulated time,
+        # but the assignment itself is computed eagerly here (it is
+        # deterministic and independent of the clock).
+        engine.schedule = self.scheduler.schedule(program.graph, cluster)
+        engine.result = OMPCRunResult(
             makespan=0.0,
             startup_time=0.0,
             scheduling_time=0.0,
             shutdown_time=0.0,
-            schedule=Schedule({}),
+            schedule=engine.schedule,
         )
-
-        remaining = {t.task_id: graph.in_degree(t) for t in graph.tasks()}
-        pending = len(remaining)
-        all_done = sim.event("all-tasks-done")
-        slots = Resource(sim, capacity=cfg.head_threads, name="head-threads")
-
-        def complete(task: Task) -> None:
-            nonlocal pending
-            pending -= 1
-            for succ in graph.successors(task):
-                remaining[succ.task_id] -= 1
-                if remaining[succ.task_id] == 0:
-                    sim.process(run_task(succ), name=f"task:{succ.name}")
-            if pending == 0:
-                all_done.succeed()
-
-        # -- buffer movement -------------------------------------------------
-        def fetch_gate(move: Move):
-            """Tiered only: fault-injected fetch failures with retry.
-
-            Under a MemoryPressure fault arm with ``fetch_fail_prob``,
-            a read-through fetch may fail before any bytes move; it is
-            retried with exponential backoff up to
-            ``mem_fetch_retries`` times, then the run gives up with a
-            buffer-attributed error.
-            """
-            fails = getattr(cluster.faults, "fetch_fails", None) \
-                if cluster.faults is not None else None
-            if fails is None:
-                return
-            attempt = 0
-            while fails(move.dst, sim.now):
-                attempt += 1
-                trace.count("mem.fetch_retries")
-                if attempt > cfg.mem_fetch_retries:
-                    raise DeviceMemoryError(
-                        f"fetch of buffer {move.buffer.name} "
-                        f"(node {move.src} -> {move.dst}) still failing "
-                        f"after {cfg.mem_fetch_retries} retries"
-                    )
-                yield sim.timeout(
-                    cfg.mem_fetch_backoff * 2 ** (attempt - 1)
-                )
-
-        def perform_move(move: Move):
-            buf = move.buffer
-            if tiering is not None:
-                yield from fetch_gate(move)
-            move_span = obs.begin(
-                "data", f"move:{buf.name}", 0,
-                src=move.src, dst=move.dst, nbytes=buf.nbytes,
-            ) if obs.enabled else None
-            if move.src == HOST:
-                payload = buf.data
-                yield from events.submit(move.dst, buf.buffer_id, payload,
-                                         buf.nbytes, label=buf.name)
-            elif move.dst == HOST:
-                payload = yield from events.retrieve(
-                    move.src, buf.buffer_id, buf.nbytes
-                )
-                buf.data = payload
-            elif cfg.forwarding_enabled:
-                yield from events.exchange(
-                    move.src, move.dst, buf.buffer_id, buf.nbytes,
-                    label=buf.name,
-                )
-            else:
-                # Ablation B: stage worker-to-worker moves via the head.
-                payload = yield from events.retrieve(
-                    move.src, buf.buffer_id, buf.nbytes
-                )
-                yield from events.submit(move.dst, buf.buffer_id, payload,
-                                         buf.nbytes, label=buf.name)
-            dm.commit_move(move)
-            if move_span is not None:
-                obs.end(move_span)
-
-        def perform_moves(moves: list[Move]):
-            """Overlap independent buffer moves of one task."""
-            if not moves:
-                return
-            if len(moves) == 1:
-                yield from perform_move(moves[0])
-                return
-            procs = [
-                sim.process(perform_move(m), name=f"move:{m.buffer.name}")
-                for m in moves
-            ]
-            yield AllOf(sim, procs)
-
-        def perform_deletes(stale: list):
-            """Synchronously remove invalidated worker copies."""
-            for buf, holder in stale:
-                if holder != HOST:
-                    del_span = obs.begin(
-                        "data", f"delete:{buf.name}", 0, holder=holder
-                    ) if obs.enabled else None
-                    yield from events.delete(holder, buf.buffer_id)
-                    # Lazy head-side release: only after the physical
-                    # DELETE landed may the bytes be re-planned.
-                    dm.mem_release(buf, holder)
-                    mem_wake()
-                    if del_span is not None:
-                        obs.end(del_span)
-
-        # -- tiered-store eviction machinery ----------------------------------
-        def await_evictions(buffer_ids):
-            """Wait until none of ``buffer_ids`` has an in-flight
-            eviction.  Returns inside a synchronous block — callers pin
-            immediately after, with no yield in between."""
-            while True:
-                waits = [
-                    m for bid in buffer_ids
-                    for m in evicting_bufs.get(bid, ())
-                ]
-                if not waits:
-                    return
-                yield AllOf(sim, waits)
-
-        def wait_for_room(node: int):
-            """Wait for any space-freeing signal on ``node``: an
-            in-flight eviction landing, or any unpin/release."""
-            markers = list(evict_markers.get(node, ()))
-            waiter = mem_turn[0]
-            mem_waiters[0] += 1
-            try:
-                yield AnyOf(sim, markers + [waiter])
-            finally:
-                mem_waiters[0] -= 1
-
-        def perform_one_eviction(ev, marker):
-            buf = ev.buffer
-            try:
-                if ev.spill:
-                    # Write-behind: this node holds the only valid
-                    # copy; persist it to the host image first.
-                    payload = yield from events.retrieve(
-                        ev.node, buf.buffer_id, buf.nbytes
-                    )
-                    buf.data = payload
-                    dm.commit_move(Move(buf, ev.node, HOST))
-                    trace.count("mem.spill_bytes", buf.nbytes)
-                yield from events.delete(ev.node, buf.buffer_id)
-                dm.commit_evict(buf, ev.node)
-                dm.mem_release(buf, ev.node)
-                mem_wake()
-                trace.count("mem.evict")
-            finally:
-                bucket = evicting_bufs.get(buf.buffer_id)
-                if bucket is not None:
-                    bucket.discard(marker)
-                    if not bucket:
-                        evicting_bufs.pop(buf.buffer_id, None)
-                evict_markers.get(ev.node, set()).discard(marker)
-                if not marker.triggered:
-                    marker.succeed()
-
-        def perform_evictions(node: int, evictions: list):
-            if not evictions:
-                return
-            # Register every marker before the first yield: any planner
-            # that runs while these are in flight must see the full set
-            # (else it could pick a mid-eviction buffer as a source).
-            procs = []
-            for ev in evictions:
-                marker = sim.event(f"evicted:{ev.buffer.name}")
-                evicting_bufs.setdefault(
-                    ev.buffer.buffer_id, set()
-                ).add(marker)
-                evict_markers.setdefault(node, set()).add(marker)
-                procs.append(sim.process(
-                    perform_one_eviction(ev, marker),
-                    name=f"evict:{ev.buffer.name}",
-                ))
-            yield AllOf(sim, procs)
-
-        # -- per-task execution ---------------------------------------------
-        def run_task(task: Task):
-            # §7: one head-node OpenMP thread blocks per in-flight task.
-            enabled = obs.enabled
-            wait_span = obs.begin(
-                "task", f"{task.name}:wait-slot", 0, task_id=task.task_id
-            ) if enabled else None
-            yield slots.request()
-            if enabled:
-                obs.end(wait_span)
-                obs.gauge_add("head.inflight", 1)
-            analysis.task_begin(task)
-            start = sim.now
-            try:
-                node = schedule.node_of(task)
-                if task.kind == TaskKind.CLASSICAL:
-                    yield from run_classical(task)
-                elif task.kind == TaskKind.TARGET_ENTER_DATA:
-                    yield from run_enter_data(task, node)
-                elif task.kind == TaskKind.TARGET_EXIT_DATA:
-                    yield from run_exit_data(task)
-                else:
-                    yield from run_target(task, node)
-            finally:
-                slots.release()
-                if enabled:
-                    obs.gauge_add("head.inflight", -1)
-            result.task_intervals[task.task_id] = (start, sim.now)
-            trace.record("task", task.name, start, sim.now)
-            analysis.task_end(task)
-            complete(task)
-
-        def run_classical(task: Task):
-            # Classical tasks run on the head node against host memory.
-            analysis.on_host_task(task, dm)
-            head = cluster.head
-            yield head.cpu.request()
-            try:
-                if task.cost:
-                    yield sim.timeout(head.compute_time(task.cost))
-                if task.fn is not None:
-                    task.fn(*(d.buffer.data for d in task.deps))
-            finally:
-                head.cpu.release()
-
-        def enter_broadcast(task: Task, node: int):
-            # §7 extension: one-to-many proactive distribution.  When the
-            # task graph shows the buffer is read-only and consumed on
-            # several nodes, a single binomial broadcast event replaces
-            # the later per-consumer exchanges (each of which would need
-            # head orchestration).
-            for buf in task.buffers:
-                extra = broadcast_targets.get(buf.buffer_id, ())
-                dsts = [d for d in extra if d != node and d != HOST]
-                if not dsts:
-                    continue
-                if tiering is not None:
-                    for dst in dsts:
-                        if tiering.manages(dst):
-                            # Caller's pins stay held here (the source
-                            # copy must survive the broadcast), so this
-                            # wait can only be resolved by other
-                            # frames' releases — acceptable for the
-                            # opt-in broadcast ablation.
-                            while True:
-                                try:
-                                    evictions = dm.plan_evictions(
-                                        task, dst, [buf]
-                                    )
-                                    break
-                                except MemoryWait:
-                                    yield from wait_for_room(dst)
-                            yield from perform_evictions(dst, evictions)
-                yield from events.broadcast(node, dsts, buf.buffer_id,
-                                            buf.nbytes)
-                for dst in dsts:
-                    dm.commit_move(Move(buf, node, dst))
-
-        def run_enter_data(task: Task, node: int):
-            if node == HOST:
-                return  # no consumer was scheduled; data stays on host
-            if tiering is not None and tiering.manages(node):
-                # Admit the buffers one at a time: an enter-data working
-                # set larger than the device is legal — buffers entered
-                # earlier become clean replicas (the host image
-                # survives) that the tier may evict to admit the rest;
-                # consumers re-fetch them read-through.  Unpressured,
-                # every per-buffer plan is synchronous and the moves are
-                # batched into one overlapped transfer — the event
-                # stream stays bit identical to the un-tiered path.
-                buf_ids = sorted({b.buffer_id for b in task.buffers})
-                yield from await_evictions(buf_ids)
-                dm.pin(buf_ids)
-                #: Planned-but-unperformed (buffer, moves) pairs.
-                staged: list = []
-
-                def flush():
-                    # Materialize (and commit) everything planned so
-                    # far.  Must run before any back-off unpin: a
-                    # charged-but-unmaterialized buffer picked as a
-                    # victim by a concurrent planner would make the
-                    # eviction retrieve bytes that do not exist yet.
-                    mvs = [m for _b, ms in staged for m in ms]
-                    yield from perform_moves(mvs)
-                    for b, _ms in staged:
-                        dm.commit_enter_data(b, node)
-                    staged.clear()
-
-                try:
-                    for buf in task.buffers:
-                        while True:
-                            moves = dm.plan_enter_data(buf, node)
-                            incoming = [
-                                m.buffer for m in moves if m.dst == node
-                            ]
-                            try:
-                                evictions = dm.plan_evictions(
-                                    task, node, incoming
-                                )
-                                break
-                            except MemoryWait:
-                                # Back off: materialize the admitted
-                                # prefix and release our pins so room
-                                # can be made.  Our own prefix pins are
-                                # often the blockage (the entered
-                                # buffers are this frame's own clean
-                                # replicas), so re-plan immediately
-                                # against the unpinned state — the
-                                # re-plan is synchronous, hence atomic —
-                                # and only sleep on the turnstile when
-                                # the blockage is truly someone else's.
-                                # The back-off unpin deliberately does
-                                # NOT fire the turnstile: waking peers
-                                # on transient unpins lets two blocked
-                                # frames ping-pong wakes at one instant
-                                # forever.  Real releases (evictions
-                                # landing, deletes, frame completion) do
-                                # the waking.
-                                yield from flush()
-                                dm.unpin(buf_ids)
-                                try:
-                                    moves = dm.plan_enter_data(buf, node)
-                                    incoming = [
-                                        m.buffer for m in moves
-                                        if m.dst == node
-                                    ]
-                                    try:
-                                        evictions = dm.plan_evictions(
-                                            task, node, incoming
-                                        )
-                                        break
-                                    except MemoryWait:
-                                        yield from wait_for_room(node)
-                                        yield from await_evictions(
-                                            buf_ids
-                                        )
-                                finally:
-                                    dm.pin(buf_ids)
-                        if evictions:
-                            yield from flush()
-                            yield from perform_evictions(node, evictions)
-                        staged.append((buf, moves))
-                    yield from flush()
-                    if cfg.broadcast_events:
-                        yield from enter_broadcast(task, node)
-                finally:
-                    dm.unpin(buf_ids)
-                    mem_wake()
-                return
-            moves = []
-            for buf in task.buffers:
-                moves.extend(dm.plan_enter_data(buf, node))
-            yield from perform_moves(moves)
-            for buf in task.buffers:
-                dm.commit_enter_data(buf, node)
-            if cfg.broadcast_events:
-                yield from enter_broadcast(task, node)
-
-        def run_exit_data(task: Task):
-            buf_ids = sorted({b.buffer_id for b in task.buffers})
-            if tiering is not None:
-                # Exit retrieves from each buffer's latest location: an
-                # eviction mid-flight would invalidate that source, so
-                # drain first and pin for the duration.
-                yield from await_evictions(buf_ids)
-                dm.pin(buf_ids)
-            try:
-                moves = []
-                for buf in task.buffers:
-                    moves.extend(dm.plan_exit_data(buf))
-                yield from perform_moves(moves)
-                for buf in task.buffers:
-                    removals = dm.commit_exit_data(buf)
-                    yield from perform_deletes(removals)
-            finally:
-                if tiering is not None:
-                    dm.unpin(buf_ids)
-                    mem_wake()
-
-        def run_target(task: Task, node: int):
-            if tiering is not None and tiering.manages(node):
-                dep_ids = sorted({d.buffer.buffer_id for d in task.deps})
-                # Never plan against a buffer whose eviction is
-                # mid-flight; once drained, pin the whole frame in the
-                # same synchronous block so no later planner can pick
-                # any of these buffers as a victim anywhere.
-                yield from await_evictions(dep_ids)
-                dm.pin(dep_ids)
-                try:
-                    while True:
-                        moves, allocs = dm.plan_for_task(task, node)
-                        incoming = list(allocs) + [
-                            m.buffer for m in moves if m.dst == node
-                        ]
-                        try:
-                            evictions = dm.plan_evictions(
-                                task, node, incoming
-                            )
-                            break
-                        except MemoryWait:
-                            # Back off: release our pins so blocked-on
-                            # frames can make room, wait for a release
-                            # signal, then re-acquire and re-plan (the
-                            # dependence set may have been evicted
-                            # while unpinned).  No turnstile fire here —
-                            # see run_enter_data's back-off comment.
-                            dm.unpin(dep_ids)
-                            try:
-                                yield from wait_for_room(node)
-                                yield from await_evictions(dep_ids)
-                            finally:
-                                dm.pin(dep_ids)
-                    # Read-through accounting: a read dependence served
-                    # locally is a hit, one that needs a transfer (cold
-                    # or previously evicted) is a miss.
-                    moved = {m.buffer.buffer_id for m in moves}
-                    counted: set[int] = set()
-                    for dep in task.deps:
-                        bid = dep.buffer.buffer_id
-                        if bid in counted or not task.dep_type_for(
-                            dep.buffer
-                        ).reads:
-                            continue
-                        counted.add(bid)
-                        trace.count(
-                            "mem.miss" if bid in moved else "mem.hit"
-                        )
-                    yield from perform_evictions(node, evictions)
-                    yield from run_target_body(task, node, moves, allocs)
-                finally:
-                    dm.unpin(dep_ids)
-                    mem_wake()
-                return
-            moves, allocs = dm.plan_for_task(task, node)
-            yield from run_target_body(task, node, moves, allocs)
-
-        def run_target_body(task: Task, node: int, moves, allocs):
-            for mv in moves:
-                # A fetch logically reads the buffer on the task's behalf.
-                analysis.on_move(task, mv.buffer)
-            enabled = obs.enabled
-            fetch_span = obs.begin(
-                "task", f"{task.name}:fetch", 0,
-                target=node, moves=len(moves), allocs=len(allocs),
-            ) if enabled else None
-            for buf in allocs:
-                yield from events.alloc(node, buf.buffer_id, payload=buf.data,
-                                        nbytes=buf.nbytes, label=buf.name,
-                                        owner=task.name)
-                dm.commit_alloc(buf, node)
-            yield from perform_moves(moves)
-            if enabled:
-                obs.end(fetch_span)
-            exec_span = obs.begin(
-                "task", f"{task.name}:execute", 0, target=node
-            ) if enabled else None
-            detected = yield from events.execute(node, task)
-            if enabled:
-                obs.end(exec_span)
-            commit_span = obs.begin(
-                "task", f"{task.name}:commit", 0, target=node
-            ) if enabled else None
-            stale = dm.commit_task_done(
-                task,
-                node,
-                written_ids=set(detected) if detected is not None else None,
-            )
-            yield from perform_deletes(stale)
-            if enabled:
-                obs.end(commit_span)
-
-        # -- main process on the head node ------------------------------------
-        def main():
-            try:
-                yield from main_body()
-            except BaseException:
-                # Abort (error or a workload manager's preemption
-                # interrupt): kill this run's gate/handler processes so
-                # a shared simulation (multi-tenant cluster views) is
-                # not left with orphaned machinery ticking after the
-                # error propagates out.  Aborts during startup find the
-                # event system not yet started — nothing to tear down.
-                if events._started:
-                    for node_id in range(cluster.num_nodes):
-                        if not events.node_failed(node_id):
-                            events.fail_node(node_id)
-                raise
-
-        def main_body():
-            # 1. startup: process start -> gate-thread creation (Fig. 7a).
-            span = trace.begin("runtime", "startup")
-            obs_span = obs.begin("sched", "startup", 0)
-            yield sim.timeout(cfg.startup_time)
-            events.start()
-            trace.end(span)
-            obs.end(obs_span)
-            result.startup_time = cfg.startup_time
-
-            # 2. control thread creates all tasks (workers stay idle).
-            creation = len(remaining) * cfg.task_creation_overhead
-            if creation:
-                obs_span = obs.begin(
-                    "sched", "task-creation", 0, tasks=len(remaining)
-                )
-                yield sim.timeout(creation)
-                obs.end(obs_span)
-
-            # 3. implicit barrier: schedule the entire graph with HEFT.
-            span = trace.begin("runtime", "scheduling")
-            obs_span = obs.begin("sched", "heft", 0, edges=graph.num_edges)
-            sched_cost = (
-                graph.num_edges
-                * max(cluster.num_nodes - 1, 1)
-                * cfg.schedule_unit_cost
-            )
-            if sched_cost:
-                yield sim.timeout(sched_cost)
-            trace.end(span)
-            obs.end(obs_span)
-            result.scheduling_time = sched_cost + 0.0
-
-            # 4./5. dispatch and drain the graph.
-            if pending == 0:
-                all_done.succeed()
-            else:
-                for root in graph.roots():
-                    sim.process(run_task(root), name=f"task:{root.name}")
-            yield all_done
-
-            # 6. shutdown: gate-thread destruction -> process end.
-            span = trace.begin("runtime", "shutdown")
-            obs_span = obs.begin("sched", "shutdown", 0)
-            yield from events.shutdown()
-            yield sim.timeout(cfg.shutdown_time)
-            trace.end(span)
-            obs.end(obs_span)
-            result.shutdown_time = cfg.shutdown_time
-
-        # Scheduling happens inside main() in simulated time, but the
-        # assignment itself is computed eagerly here (it is deterministic
-        # and independent of the clock).
-        schedule = self.scheduler.schedule(graph, cluster)
-        result.schedule = schedule
-
-        # §7 broadcast detection: for each buffer entered via enter-data
-        # and never written afterwards (read-only on the device side),
-        # collect the distinct nodes of its consumers from the scheduled
-        # task graph.
-        broadcast_targets: dict[int, tuple[int, ...]] = {}
-        if cfg.broadcast_events:
-            readers: dict[int, set[int]] = {}
-            written: set[int] = set()
-            entered: set[int] = set()
-            for task in graph.tasks():
-                if task.kind == TaskKind.TARGET_ENTER_DATA:
-                    entered.update(b.buffer_id for b in task.buffers)
-                elif task.kind == TaskKind.TARGET:
-                    node = schedule.node_of(task)
-                    for buf in task.reads:
-                        readers.setdefault(buf.buffer_id, set()).add(node)
-                    written.update(b.buffer_id for b in task.writes)
-            for bid in entered - written:
-                nodes = sorted(readers.get(bid, ()))
-                if len(nodes) > 1:
-                    broadcast_targets[bid] = tuple(nodes)
-
-        main_proc = sim.process(main(), name="ompc-main")
-        net_bytes0 = cluster.network.total_bytes
-        net_msgs0 = cluster.network.total_messages
-
-        def finish() -> OMPCRunResult:
-            result.makespan = sim.now - t0
-            result.counters = dict(trace.counters)
-            result.network_bytes = cluster.network.total_bytes - net_bytes0
-            result.network_messages = (
-                cluster.network.total_messages - net_msgs0
-            )
-            if obs.enabled:
-                # Fold the transport + event-system tallies into the
-                # observer so one object carries the whole run's metrics.
-                for stat, value in mpi.stats.items():
-                    obs.count(f"mpi.transport.{stat}", value)
-                for counter_name, value in trace.counters.items():
-                    obs.count(counter_name, value)
-                result.obs = obs
-            if analysis.enabled:
-                result.analysis = analysis.finalize(
-                    [mpi], failed=events._failed, obs=obs
-                )
-            return result
-
-        return main_proc, finish
+        if self.config.broadcast_events:
+            engine.plan_broadcasts()
+        main_proc = cluster.sim.process(
+            engine.main(engine.run_head()), name="ompc-main"
+        )
+        return main_proc, engine.finish

@@ -1,69 +1,49 @@
 """The sharded control plane: K shard managers drive one task graph.
 
-The classic runtime (:class:`~repro.core.runtime.OMPCRuntime`) is the
-paper's design: one head node owns the whole task graph, and every
-in-flight task blocks one of ``head_threads`` OpenMP slots — the §7
-knee.  :class:`ShardedRuntime` breaks the knee by partitioning control:
+The single head (:class:`~repro.core.runtime.OMPCRuntime`) blocks one
+of ``head_threads`` OpenMP slots per in-flight task — the §7 knee.
+:class:`ShardedRuntime` partitions control across K managers and runs
+every task step through the shared
+:class:`~repro.core.engine.Engine`, with the task's shard manager as
+the issuing node (sharded ingest: each manager stages its shard's
+inputs itself).  What this module owns is only what is sharded:
 
-* nodes ``0..K-1`` are reserved *shard-manager* nodes (like the job
-  manager's reserved node in :mod:`repro.cluster.partition`); node 0
-  doubles as the host (shard 0 owns classical and ``exit data`` work);
-* the remaining nodes are compute workers, sliced contiguously so each
-  shard schedules — with its **own scheduler instance** over its own
-  subgraph — and dispatches — with its **own** ``head_threads`` slot
-  pool — against a private node set;
-* task/buffer ownership comes from the
-  :class:`~repro.core.shard.directory.ShardDirectory` (consistent hash
-  of the affinity key by default, pluggable policy hook);
-* cross-shard dependences resolve by **lease/subscription**: at plane
-  start-up each shard sends one LEASE per remote producer task it
-  depends on; the owner replies with a NOTIFY when (or immediately if)
-  the producer completed.  No polling, and consumers dedup
-  notifications by task id exactly like the PR 3 worker-side dispatch
-  dedup — a failover's replayed messages are no-ops;
-* each shard reuses :mod:`repro.core.headlog` for failover: dispatches,
-  completions, and processed notifications append to a per-shard
-  commit log replicated to ``head_standbys`` standbys drawn from the
-  shard's worker slice.  On a gossip-confirmed manager death the
-  standard election/adopt/replay sequence promotes a standby, the
-  shard's slot pool and service loops restart on the winner, leases
-  are re-sent for unsatisfied subscriptions (closing the lost-NOTIFY
-  window) and in-flight tasks are re-dispatched with ``dedup=True``;
-* membership is :class:`~repro.core.gossip.GossipMembership` (SWIM),
-  not the O(N) heartbeat ring — required whenever failures are
-  injected, optional otherwise.
+* the layout — manager nodes ``0..K-1`` (node 0 doubles as the host
+  and owns classical and ``exit data`` work), contiguous compute
+  slices, and task/buffer ownership from the
+  :class:`~repro.core.shard.directory.ShardDirectory`;
+* per-shard scheduling (an own scheduler instance over the shard's
+  subgraph) and an own ``head_threads`` slot pool per manager;
+* cross-shard dependences by lease/notify: one LEASE per remote
+  producer at start-up, a NOTIFY when (or immediately if) it completed,
+  consumer-side dedup by task id so replayed messages are no-ops, and
+  a commit guard so a re-dispatched task never commits twice;
+* per-shard failover over :mod:`repro.core.headlog` — on a
+  gossip-confirmed manager death a standby is elected, adopts the log,
+  restarts the slot pool and services, re-sends leases both ways and
+  re-issues the epoch's ready work with ``dedup=True``.
 
-Input staging is *sharded ingest*: each manager stages its shard's
-host-resident buffers itself (``events.submit`` with the manager as
-origin), so enter-data traffic does not all funnel through node 0.
-Host-side retrieval (``exit data``) still lands on node 0, which owns
-that work by construction.
-
-Deliberately out of scope (validated): the tiered memory store and
-broadcast events (single-head features, see ROADMAP), and failures of
-node 0 itself — root-head failover is
-:class:`~repro.core.faults.FaultTolerantRuntime`'s job.
+Membership is :class:`~repro.core.gossip.GossipMembership` (SWIM).  A
+worker death aborts the run with :class:`ShardPlaneError`.  Rejected at
+config time: the tiered memory store, broadcast events,
+and failures of node 0 (root-head failover is
+:class:`~repro.core.faults.FaultTolerantRuntime`'s job).
 """
 
 from __future__ import annotations
 
-from repro.analysis.hooks import Analysis
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
-from repro.core.datamanager import HOST, DataManager, Move
-from repro.core.events import EventSystem
+from repro.core.engine import Engine, bind_cluster
 from repro.core.gossip import GossipMembership
 from repro.core.headlog import HeadLog, Replicator
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
 from repro.core.shard.directory import PartitionPolicy, ShardDirectory
 from repro.core.shard.messages import LEASE_TAG, NOTIFY_TAG
 from repro.core.shard.report import ShardRunResult, ShardStats
-from repro.mpi.comm import MpiWorld
-from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
-from repro.omp.task import Task, TaskKind
+from repro.omp.task import Task
 from repro.sim.errors import Interrupt, SimulationError
-from repro.sim.primitives import AllOf
 from repro.sim.resources import Resource
 
 
@@ -224,28 +204,12 @@ class ShardedRuntime:
         program.validate()
         cfg = self.config
         k = self.num_shards
-        if cluster is None:
-            cluster = Cluster(self.cluster_spec)
-        elif cluster.num_nodes != self.cluster_spec.num_nodes:
-            raise ValueError(
-                f"cluster has {cluster.num_nodes} nodes, spec expects "
-                f"{self.cluster_spec.num_nodes}"
-            )
+        cluster = bind_cluster(self.cluster_spec, cluster)
         self.last_cluster = cluster
-        sim = cluster.sim
-        t0 = sim.now
-        if cfg.trace and not cluster.obs.enabled:
-            cluster.install_observer(Observer(sim))
-        obs = cluster.obs
-        if cfg.analysis and not cluster.analysis.enabled:
-            cluster.install_analysis(Analysis())
-        analysis = cluster.analysis
-        mpi = MpiWorld(cluster)
-        events = EventSystem(cluster, mpi, cfg)
-        dm = DataManager(analysis=analysis if analysis.enabled else None)
-        analysis.program_begin(program)
-        trace = cluster.trace
-        graph = program.graph
+        engine = _ShardEngine(cluster, cfg, program)
+        sim, mpi, events = engine.sim, engine.mpi, engine.events
+        trace, graph = engine.trace, engine.graph
+        remaining = engine.remaining
 
         directory = ShardDirectory(
             graph, k, self.policy if self.policy is not None
@@ -279,9 +243,8 @@ class ShardedRuntime:
                 shard=shard.sid, manager=shard.manager,
                 nodes=shard.nodes, tasks=len(sub),
             )
-        schedule = Schedule(assignment, planned)
-
-        result = ShardRunResult(
+        schedule = engine.schedule = Schedule(assignment, planned)
+        result = engine.result = ShardRunResult(
             makespan=0.0,
             startup_time=0.0,
             scheduling_time=0.0,
@@ -289,11 +252,8 @@ class ShardedRuntime:
             schedule=schedule,
         )
 
-        remaining = {t.task_id: graph.in_degree(t) for t in graph.tasks()}
-        pending = len(remaining)
         completed: set[int] = set()
-        dm_done: set[int] = set()
-        all_done = sim.event("all-tasks-done")
+        all_done = engine.all_done
         plane_up = sim.event("shard-plane-up")
         shard_comm = mpi.new_communicator(service=True)
         for shard in shards:
@@ -359,12 +319,11 @@ class ShardedRuntime:
             shard.procs[proc] = None
 
         def complete(task: Task) -> None:
-            nonlocal pending
             tid = task.task_id
             if tid in completed:
                 return
             completed.add(tid)
-            pending -= 1
+            engine.pending -= 1
             shard = shards[owner_of(tid)]
             shard.stats.dispatched += 1
             log_append(shard, "done", task=tid)
@@ -377,7 +336,7 @@ class ShardedRuntime:
             if subscribers:
                 for sc in sorted(subscribers):
                     send_notify(shard, tid, sc)
-            if pending == 0 and not all_done.triggered:
+            if engine.pending == 0 and not all_done.triggered:
                 all_done.succeed()
 
         def send_notify(shard: _Shard, producer_id: int, sc: int) -> None:
@@ -453,87 +412,32 @@ class ShardedRuntime:
             except Interrupt:
                 return
 
-        # -- buffer movement (per-manager origin) --------------------------
-        def perform_move(shard: _Shard, move: Move):
-            buf = move.buffer
-            origin = shard.manager
-            move_span = obs.begin(
-                "data", f"move:{buf.name}", 0,
-                src=move.src, dst=move.dst, nbytes=buf.nbytes,
-            ) if obs.enabled else None
-            if move.src == HOST:
-                # Sharded ingest: the manager stages its shard's
-                # host-resident inputs itself.
-                yield from events.submit(move.dst, buf.buffer_id,
-                                         buf.data, buf.nbytes,
-                                         origin=origin, label=buf.name)
-            elif move.dst == HOST:
-                payload = yield from events.retrieve(
-                    move.src, buf.buffer_id, buf.nbytes, origin=origin
-                )
-                buf.data = payload
-            elif cfg.forwarding_enabled:
-                yield from events.exchange(
-                    move.src, move.dst, buf.buffer_id, buf.nbytes,
-                    origin=origin, label=buf.name,
-                )
-            else:
-                payload = yield from events.retrieve(
-                    move.src, buf.buffer_id, buf.nbytes, origin=origin
-                )
-                yield from events.submit(move.dst, buf.buffer_id, payload,
-                                         buf.nbytes, origin=origin,
-                                         label=buf.name)
-            dm.commit_move(move)
-            if move_span is not None:
-                obs.end(move_span)
-
-        def perform_moves(shard: _Shard, moves: list[Move]):
-            if not moves:
-                return
-            if len(moves) == 1:
-                yield from perform_move(shard, moves[0])
-                return
-            procs = [
-                sim.process(perform_move(shard, m),
-                            name=f"move:{m.buffer.name}")
-                for m in moves
-            ]
-            yield AllOf(sim, procs)
-
-        def perform_deletes(shard: _Shard, stale: list):
-            for buf, holder in stale:
-                if holder != HOST:
-                    yield from events.delete(holder, buf.buffer_id,
-                                             origin=shard.manager)
-                    dm.mem_release(buf, holder)
-
-        # -- per-task execution --------------------------------------------
+        # -- per-task control frames --------------------------------------
         def run_task(shard: _Shard, task: Task, dedup: bool):
+            obs = engine.obs
             enabled = obs.enabled
             # Capture the epoch's slot pool: a failover replaces
             # ``shard.slots``, and a frame interrupted mid-task must
             # release into the pool it acquired from, not the fresh one.
             slots = shard.slots
+            wait_span = obs.begin(
+                "task", f"{task.name}:wait-slot", 0, task_id=task.task_id
+            ) if enabled else None
             yield slots.request()
             if enabled:
+                obs.end(wait_span)
                 obs.gauge_add("head.inflight", 1)
-            analysis.task_begin(task)
+            engine.analysis.task_begin(task)
             log_append(shard, "dispatch", task=task.task_id)
             if shard.repl is not None:
                 yield from shard.repl.throttle()
             trace.count("shard.dispatches")
             start = sim.now
             try:
-                node = schedule.node_of(task)
-                if task.kind == TaskKind.CLASSICAL:
-                    yield from run_classical(task)
-                elif task.kind == TaskKind.TARGET_ENTER_DATA:
-                    yield from run_enter_data(shard, task, node)
-                elif task.kind == TaskKind.TARGET_EXIT_DATA:
-                    yield from run_exit_data(shard, task)
-                else:
-                    yield from run_target(shard, task, node, dedup)
+                # Sharded ingest: the manager issues its shard's moves
+                # and events itself.
+                yield from engine.run_step(task, schedule.node_of(task),
+                                           shard.manager, dedup)
             finally:
                 slots.release()
                 if enabled:
@@ -541,65 +445,8 @@ class ShardedRuntime:
             result.task_intervals[task.task_id] = (start, sim.now)
             shard.stats.busy_time += sim.now - start
             trace.record("task", task.name, start, sim.now)
-            analysis.task_end(task)
+            engine.analysis.task_end(task)
             complete(task)
-
-        def run_classical(task: Task):
-            analysis.on_host_task(task, dm)
-            head = cluster.head
-            yield head.cpu.request()
-            try:
-                if task.cost:
-                    yield sim.timeout(head.compute_time(task.cost))
-                if task.fn is not None:
-                    task.fn(*(d.buffer.data for d in task.deps))
-            finally:
-                head.cpu.release()
-
-        def run_enter_data(shard: _Shard, task: Task, node: int):
-            if node == HOST:
-                return
-            moves = []
-            for buf in task.buffers:
-                moves.extend(dm.plan_enter_data(buf, node))
-            yield from perform_moves(shard, moves)
-            for buf in task.buffers:
-                dm.commit_enter_data(buf, node)
-
-        def run_exit_data(shard: _Shard, task: Task):
-            moves = []
-            for buf in task.buffers:
-                moves.extend(dm.plan_exit_data(buf))
-            yield from perform_moves(shard, moves)
-            for buf in task.buffers:
-                removals = dm.commit_exit_data(buf)
-                yield from perform_deletes(shard, removals)
-
-        def run_target(shard: _Shard, task: Task, node: int, dedup: bool):
-            moves, allocs = dm.plan_for_task(task, node)
-            for mv in moves:
-                analysis.on_move(task, mv.buffer)
-            for buf in allocs:
-                yield from events.alloc(node, buf.buffer_id,
-                                        payload=buf.data,
-                                        origin=shard.manager,
-                                        nbytes=buf.nbytes, label=buf.name,
-                                        owner=task.name)
-                dm.commit_alloc(buf, node)
-            yield from perform_moves(shard, moves)
-            detected = yield from events.execute(
-                node, task, origin=shard.manager, dedup=dedup
-            )
-            if task.task_id not in dm_done:
-                # Guard the re-dispatch path: a manager that died after
-                # committing but before logging must not double-commit.
-                dm_done.add(task.task_id)
-                stale = dm.commit_task_done(
-                    task, node,
-                    written_ids=set(detected)
-                    if detected is not None else None,
-                )
-                yield from perform_deletes(shard, stale)
 
         # -- membership & failover -----------------------------------------
         def on_death(dead: int, by: int) -> None:
@@ -745,21 +592,8 @@ class ShardedRuntime:
                 if remaining[task.task_id] == 0:
                     spawn_task(task)
 
-        def main():
-            try:
-                yield from main_body()
-            except BaseException:
-                if events._started:
-                    for node_id in range(cluster.num_nodes):
-                        if not events.node_failed(node_id):
-                            events.fail_node(node_id)
-                raise
-
         def main_body():
-            span = trace.begin("runtime", "startup")
-            obs_span = obs.begin("sched", "startup", 0)
-            yield sim.timeout(cfg.startup_time)
-            events.start()
+            yield from engine.startup()
             if membership is not None:
                 membership.on_detect = on_death
                 membership.on_head_detect = on_death
@@ -775,52 +609,43 @@ class ShardedRuntime:
                 start_services(shard)
             for at, node in self.inject_failures:
                 sim.process(injector(at, node), name=f"kill@{node}")
-            trace.end(span)
-            obs.end(obs_span)
-            result.startup_time = cfg.startup_time
             plane_up.succeed()
-            if pending == 0 and not all_done.triggered:
+            if engine.pending == 0 and not all_done.triggered:
                 all_done.succeed()
             yield all_done
             if membership is not None:
                 membership.stop()
-            span = trace.begin("runtime", "shutdown")
-            obs_span = obs.begin("sched", "shutdown", 0)
-            yield from events.shutdown()
-            yield sim.timeout(cfg.shutdown_time)
-            trace.end(span)
-            obs.end(obs_span)
-            result.shutdown_time = cfg.shutdown_time
+            yield from engine.shutdown()
 
         for shard in shards:
             sim.process(manager_body(shard),
                         name=f"shard{shard.sid}-manager")
-        main_proc = sim.process(main(), name="shard-main")
-        net_bytes0 = cluster.network.total_bytes
-        net_msgs0 = cluster.network.total_messages
+        main_proc = sim.process(engine.main(main_body()), name="shard-main")
 
         def finish() -> ShardRunResult:
-            result.makespan = sim.now - t0
-            result.counters = dict(trace.counters)
-            result.network_bytes = cluster.network.total_bytes - net_bytes0
-            result.network_messages = (
-                cluster.network.total_messages - net_msgs0
-            )
+            engine.finish()
             result.shard_stats = {s.sid: s.stats for s in shards}
             if membership is not None:
                 result.membership_timeline = list(membership.timeline)
                 result.detections = list(membership.detections)
                 result.gossip_rounds = membership.rounds
-            if obs.enabled:
-                for stat, value in mpi.stats.items():
-                    obs.count(f"mpi.transport.{stat}", value)
-                for counter_name, value in trace.counters.items():
-                    obs.count(counter_name, value)
-                result.obs = obs
-            if analysis.enabled:
-                result.analysis = analysis.finalize(
-                    [mpi], failed=events._failed, obs=obs
-                )
             return result
 
         return main_proc, finish
+
+
+class _ShardEngine(Engine):
+    """The launch engine with the sharded plane's commit guard."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: Target tasks whose outputs are committed.
+        self.dm_done: set[int] = set()
+
+    def commit_target(self, task: Task, node: int, detected) -> list:
+        # Guard the re-dispatch path: a manager that died after
+        # committing but before logging must not double-commit.
+        if task.task_id in self.dm_done:
+            return []
+        self.dm_done.add(task.task_id)
+        return super().commit_target(task, node, detected)

@@ -4,31 +4,28 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.bench.perfcmd import (
     KERNEL_SCHEMA,
     PR6_BASELINE,
-    SCHEMA,
     check_baseline,
     main,
 )
 
 
 def _emit_quick(tmp_path):
-    jobs = tmp_path / "BENCH_jobs.json"
     kernel = tmp_path / "BENCH_kernel.json"
-    assert main([
-        "--quick", "--out", str(jobs), "--kernel-out", str(kernel),
-    ]) == 0
-    return jobs, kernel
+    assert main(["--quick", "--kernel-out", str(kernel)]) == 0
+    return kernel
 
 
-def test_quick_run_emits_both_schemas(tmp_path):
-    jobs, kernel = _emit_quick(tmp_path)
-    jp = json.loads(jobs.read_text())
-    assert jp["schema"] == SCHEMA
-    assert len(jp["cells"]) >= 4
+def test_quick_run_emits_the_kernel_schema(tmp_path):
+    kernel = _emit_quick(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_kernel.json"]
     kp = json.loads(kernel.read_text())
     assert kp["schema"] == KERNEL_SCHEMA
+    assert len(kp["cells"]) >= 4
     assert kp["calib_mops"] > 0
     assert kp["baseline_pr6"] == PR6_BASELINE
     names = {c["name"] for c in kp["cells"]}
@@ -45,7 +42,7 @@ def test_check_accepts_its_own_baseline(tmp_path):
     # background load — the exact-match events/makespan path and the
     # check plumbing are what this test pins; the strict 30% guard is
     # covered synthetically below.
-    _jobs, kernel = _emit_quick(tmp_path)
+    kernel = _emit_quick(tmp_path)
     assert check_baseline(kernel, regression=0.95) == 0
 
 
@@ -53,7 +50,7 @@ def test_check_fails_on_throughput_regression(tmp_path, capsys):
     # Synthetic: inflate the recorded ev/s so even a fast replay looks
     # like a >30% normalized regression — exercises the guard without
     # depending on wall-clock stability.
-    _jobs, kernel = _emit_quick(tmp_path)
+    kernel = _emit_quick(tmp_path)
     payload = json.loads(kernel.read_text())
     for cell in payload["cells"]:
         cell["events_per_sec"] *= 1000.0
@@ -63,7 +60,7 @@ def test_check_fails_on_throughput_regression(tmp_path, capsys):
 
 
 def test_check_fails_on_event_count_drift(tmp_path, capsys):
-    _jobs, kernel = _emit_quick(tmp_path)
+    kernel = _emit_quick(tmp_path)
     payload = json.loads(kernel.read_text())
     payload["cells"][0]["events"] += 1  # deterministic field: any drift fails
     kernel.write_text(json.dumps(payload))
@@ -72,7 +69,7 @@ def test_check_fails_on_event_count_drift(tmp_path, capsys):
 
 
 def test_check_fails_on_wrong_schema(tmp_path):
-    _jobs, kernel = _emit_quick(tmp_path)
+    kernel = _emit_quick(tmp_path)
     payload = json.loads(kernel.read_text())
     payload["schema"] = "something-else/9"
     kernel.write_text(json.dumps(payload))
@@ -89,3 +86,8 @@ def test_full_baseline_records_headline_cells():
     for ref in PR6_BASELINE.values():
         assert ref["events"] > 0
         assert ref["wall_s"] > 0
+
+
+def test_legacy_flat_output_is_gone():
+    with pytest.raises(SystemExit):
+        main(["--quick", "--out", "BENCH_jobs.json"])

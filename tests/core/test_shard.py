@@ -15,6 +15,7 @@ from repro.core.shard import (
     make_partition_policy,
     stable_hash,
 )
+from repro.obs.exporter import to_chrome_trace, validate_chrome_trace
 from repro.omp.task import TaskKind
 from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec
 from repro.taskbench.bench import build_omp_program
@@ -175,6 +176,33 @@ class TestShardedExecution:
             == num_tasks
         report = res.utilization_report()
         assert "shard" in report and "busy%" in report
+
+    def test_traced_run_has_per_task_spans(self):
+        # The sharded plane runs the engine's shared target steps, so a
+        # traced run carries each target region's fetch/execute/commit
+        # spans, and the whole trace exports cleanly.
+        prog = stencil(width=8, steps=2)
+        cfg = OMPCConfig(head_shards=2, trace=True)
+        res = OMPCRuntime(ClusterSpec(num_nodes=8), cfg).run(prog)
+        targets = [t.name for t in prog.graph.tasks()
+                   if t.kind == TaskKind.TARGET]
+        assert targets
+        for phase in ("fetch", "execute", "commit"):
+            spans = {s.name for s in res.obs.find(cat="task")
+                     if s.name.endswith(f":{phase}")}
+            assert spans == {f"{name}:{phase}" for name in targets}
+        assert validate_chrome_trace(to_chrome_trace(res.obs)) == []
+
+    def test_traced_failover_exports_a_valid_trace(self):
+        cfg = OMPCConfig(head_shards=4, gossip=True, head_standbys=1,
+                         trace=True)
+        runtime = ShardedRuntime(ClusterSpec(num_nodes=16), cfg,
+                                 inject_failures=((0.08, 2),))
+        res = runtime.run(stencil(width=16, steps=4))
+        assert res.counters["shard.failovers"] == 1
+        assert any(s.name.endswith(":execute")
+                   for s in res.obs.find(cat="task"))
+        assert validate_chrome_trace(to_chrome_trace(res.obs)) == []
 
     def test_delegation_preserves_results_shape(self):
         runtime = OMPCRuntime(ClusterSpec(num_nodes=16),

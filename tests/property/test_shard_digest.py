@@ -18,6 +18,8 @@ Two bit-identity promises guard the sharded plane (repro.core.shard):
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -86,6 +88,27 @@ def test_single_shard_never_imports_sharded_plane():
     runtime.run(build_omp_program(spec))
     assert runtime._sharded is None
     assert rt_mod is not None  # the import guard lives in launch()
+
+
+def test_single_shard_run_leaves_sharded_modules_unloaded():
+    # A fresh interpreter: importing the runtime and running a
+    # single-head program must not load any repro.core.shard module.
+    code = (
+        "import sys\n"
+        "from repro.core import OMPCConfig, OMPCRuntime\n"
+        "from repro.cluster import ClusterSpec\n"
+        "from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec\n"
+        "from repro.taskbench.bench import build_omp_program\n"
+        "spec = TaskBenchSpec.with_ccr(8, 2, Pattern.STENCIL_1D,\n"
+        "    KernelSpec.paper_50ms(), 1.0, 100e9 / 8.0)\n"
+        "OMPCRuntime(ClusterSpec(num_nodes=4), OMPCConfig(head_shards=1))"
+        ".run(build_omp_program(spec))\n"
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "'repro.core.shard')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("shards,nodes", [(2, 8), (4, 16)])
