@@ -33,8 +33,6 @@ the derived dependence graph.  Rules:
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.analysis.findings import Finding, Severity
 from repro.omp.task import DepType, Task, TaskKind
 
@@ -123,11 +121,11 @@ def lint_program(program) -> list[Finding]:
         if t.kind in (TaskKind.TARGET_EXIT_DATA, TaskKind.CLASSICAL)
     ]
     if sinks:
-        g = program.graph.nx_graph()
         observable: set[int] = set()
         for sink in sinks:
-            observable.add(sink.task_id)
-            observable.update(nx.ancestors(g, sink.task_id))
+            if sink.task_id not in observable:
+                observable.add(sink.task_id)
+                observable.update(program.graph.ancestors(sink))
         for task in tasks:
             if task.task_id not in observable:
                 findings.append(Finding(

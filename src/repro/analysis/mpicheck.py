@@ -24,9 +24,7 @@ likewise excluded — a crash strands messages by definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import networkx as nx
+from dataclasses import dataclass
 
 from repro.analysis.findings import Finding, Severity
 
@@ -187,11 +185,11 @@ class MpiChecker:
 
         # Wait-for graph over blocked waits: rank → the rank it needs a
         # message from.  A cycle means nobody can ever progress.
-        wait_for = nx.DiGraph()
-        for rec in blocked:
-            if rec.peer != _ANY_SOURCE:
-                wait_for.add_edge(rec.owner, rec.peer)
-        for cycle in sorted(nx.simple_cycles(wait_for)):
+        wait_for = {
+            (rec.owner, rec.peer) for rec in blocked
+            if rec.peer != _ANY_SOURCE
+        }
+        for cycle in _simple_cycles(wait_for):
             ranks = " → ".join(str(r) for r in cycle + [cycle[0]])
             self.findings.append(Finding(
                 rule="deadlock-cycle",
@@ -202,3 +200,27 @@ class MpiChecker:
                 analyzer="mpi",
             ))
         return self.findings
+
+
+def _simple_cycles(edges: set[tuple[int, int]]) -> list[list[int]]:
+    """Every simple cycle, sorted, each starting at its smallest node:
+    a depth-first search from each node through larger nodes only."""
+    succ: dict[int, list[int]] = {}
+    for u, v in sorted(edges):
+        succ.setdefault(u, []).append(v)
+    cycles: list[list[int]] = []
+    for start in succ:
+        path = [start]
+        stack = [iter(succ[start])]
+        while stack:
+            for nxt in stack[-1]:
+                if nxt == start:
+                    cycles.append(list(path))
+                elif nxt > start and nxt in succ and nxt not in path:
+                    path.append(nxt)
+                    stack.append(iter(succ[nxt]))
+                    break
+            else:
+                stack.pop()
+                path.pop()
+    return sorted(cycles)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.core import Simulator
-from repro.sim.resources import Container, Resource
+from repro.sim.resources import Resource
 from repro.util.units import GB
 
 
@@ -63,10 +63,6 @@ class Node:
         self.spec = spec
         #: Hardware execution contexts: one slot per SMT thread.
         self.cpu = Resource(sim, capacity=spec.threads, name=f"node{node_id}.cpu")
-        #: Main memory accounting (allocations charge this container).
-        self.memory = Container(
-            sim, capacity=spec.memory_bytes, init=0.0, name=f"node{node_id}.mem"
-        )
         #: Node-local accelerators (None when the node has no GPUs).
         self.gpus = (
             Resource(sim, capacity=spec.accelerators, name=f"node{node_id}.gpu")

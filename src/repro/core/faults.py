@@ -162,8 +162,8 @@ class _TimerWheel:
     """Interns same-instant timeout events (batched heartbeat timers).
 
     Every ring sender sleeps ``interval`` from the same instant, and
-    co-started monitors arm identical deadlines: the reference kernel
-    schedules one timer event *per process per tick*, so an n-node ring
+    co-started monitors arm identical deadlines: private timeouts cost
+    one timer event *per process per tick*, so an n-node ring
     pays O(n) timer events every heartbeat window — the dominant event
     source in long steady-state runs.  The wheel keys timers by their
     absolute firing time and hands every waiter of one instant the
@@ -174,10 +174,9 @@ class _TimerWheel:
     *is* the firing time, so sharing never changes when anyone wakes).
     What changes is the event *stream* — fewer timer events, and
     co-scheduled waiters wake through one shared event rather than n
-    consecutive private ones — so the wheel is not part of the
-    digest-checked fast path; it is asserted by FT *result* equality
-    (wheel on vs off) instead, and can be disabled per ring with
-    ``use_wheel=False``.
+    consecutive private ones — so the wheel is asserted by FT *result*
+    equality (wheel on vs off) instead of digests, and can be disabled
+    per ring with ``use_wheel=False``.
     """
 
     __slots__ = ("sim", "_slots", "created", "interned")
@@ -851,6 +850,11 @@ class FaultTolerantRuntime:
         written_buffers: dict[int, Buffer] = {}
         #: Head-side snapshots: buffer id → (version, pristine copy).
         checkpoints: dict[int, tuple[int, Any]] = {}
+        #: Checkpoint reads in flight: buffer id → (source node, event
+        #: fired when the read lands, if a DELETE waits on it).  The
+        #: read's request may still be retransmitting toward the source
+        #: when exit-data deletes that copy.
+        ckpt_reading: dict[int, tuple[int, Any]] = {}
         #: Task ids whose completion is recorded (after a failover this
         #: is rebuilt from the adopted replica — the authoritative view).
         completed: set[int] = set()
@@ -1221,9 +1225,11 @@ class FaultTolerantRuntime:
             if repl is not None:
                 return
             for buf, holder in stale:
+                bid = buf.buffer_id
+                while ckpt_reading.get(bid, (None,))[0] == holder:
+                    yield ckpt_reading[bid][1]  # let the snapshot land
                 if holder != home and holder not in dead:
-                    yield from events.delete(holder, buf.buffer_id,
-                                             origin=home)
+                    yield from events.delete(holder, bid, origin=home)
                     dm.mem_release(buf, holder)
 
         # -- tiered data plane under fault tolerance ----------------------
@@ -1593,6 +1599,7 @@ class FaultTolerantRuntime:
                     if src == home:
                         checkpoints[bid] = (version, _snapshot(buf.data))
                     else:
+                        ckpt_reading[bid] = (src, sim.event(f"ckpt-read:{bid}"))
                         try:
                             payload = yield from guarded(
                                 [src],
@@ -1602,6 +1609,10 @@ class FaultTolerantRuntime:
                         except _NodeCrashed as crash:
                             handle_node_death(crash.node)
                             continue
+                        finally:
+                            landed = ckpt_reading.pop(bid)[1]
+                            if landed.callbacks:  # a DELETE waits
+                                landed.succeed()
                         if write_version.get(bid, 0) != version:
                             continue  # changed mid-flight; next round
                         checkpoints[bid] = (version, _snapshot(payload))

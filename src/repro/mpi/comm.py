@@ -22,9 +22,10 @@ per-(comm, src) sequence number end to end, the receiving NIC
 acknowledges each delivery, and the sender retransmits on an exponential
 -backoff timer until acked or a configurable retry cap is exceeded.
 Duplicates created by lost acks are suppressed at the receiver by
-``(src, seq)``; retransmissions and acks travel through the same
-VCI-contended fabric as first transmissions, so loss costs simulated
-time rather than correctness.  Under loss, retransmitted messages may
+``(src, seq)``, in state bounded by the out-of-order window;
+retransmissions and acks travel through the same VCI-contended fabric
+as first transmissions, so loss costs simulated time rather than
+correctness.  Under loss, retransmitted messages may
 arrive after later first-try messages — the non-overtaking guarantee is
 relaxed to what an unordered reliable datagram transport provides, which
 every consumer in this codebase tolerates (matching is tag-isolated).
@@ -46,7 +47,6 @@ from repro.mpi.errors import MpiError
 from repro.mpi.matchtable import MatchStore
 from repro.mpi.request import Request
 from repro.sim.primitives import AnyOf
-from repro.sim.resources import Store
 from repro.util.units import MICROSECOND
 
 #: Receive-source wildcard (``MPI_ANY_SOURCE``).
@@ -117,9 +117,10 @@ class MpiWorld:
             "drops": 0, "retransmissions": 0, "acks": 0, "duplicates": 0,
         }
         self._next_comm_id = 0
-        # Matching queues are per (rank, comm); one Store per pair, lazily
-        # created, so traffic on one communicator never scans another's.
-        self._queues: dict[tuple[int, int], Store] = {}
+        # Matching queues are per (rank, comm); one MatchStore per pair,
+        # lazily created, so traffic on one communicator never scans
+        # another's.
+        self._queues: dict[tuple[int, int], MatchStore] = {}
         self.world = self.new_communicator()
 
     @property
@@ -148,18 +149,12 @@ class MpiWorld:
         self._next_comm_id += 1
         return comm
 
-    def _queue(self, rank: int, comm_id: int) -> Store:
+    def _queue(self, rank: int, comm_id: int) -> MatchStore:
         key = (rank, comm_id)
         store = self._queues.get(key)
         if store is None:
-            # The fast kernel matches through slotted (src, tag) tables;
-            # the reference kernel keeps the predicate-scan Store.  Both
-            # produce bit-identical event streams (digest-tested).
-            if self.sim._fastpath:
-                store = MatchStore(self.sim, name=f"mpi.q{rank}.c{comm_id}")
-            else:
-                store = Store(self.sim, name=f"mpi.q{rank}.c{comm_id}")
-            self._queues[key] = store
+            store = self._queues[key] = MatchStore(
+                self.sim, name=f"mpi.q{rank}.c{comm_id}")
         return store
 
     def _dropped(self, src: int, dst: int) -> bool:
@@ -188,8 +183,11 @@ class Communicator:
         self.transport = transport
         self.service = service
         self._send_seq: dict[int, int] = defaultdict(int)
-        #: (src, seq) pairs already delivered (reliable-mode dedup).
-        self._delivered: set[tuple[int, int]] = set()
+        #: Reliable-mode dedup per source: every seq below the mark is
+        #: done (delivered, or its send gave up), plus the done seqs
+        #: above it.  State is bounded by the out-of-order window.
+        self._done_below: dict[int, int] = {}
+        self._done_above: dict[int, set[int]] = {}
         #: Pending ack events keyed by (src, dst, seq).
         self._ack_waiters: dict[tuple[int, int, int], Any] = {}
 
@@ -225,6 +223,8 @@ class Communicator:
         if self.transport is not None and src != dst:
             gen = self._deliver_reliable(msg)
         else:
+            if self.transport is not None:
+                self._mark_done(src, seq)  # self-sends skip the transport
             gen = self._deliver(msg)
         proc = self.mpi.sim.process(gen, name=f"isend:{src}->{dst}:t{tag}")
         request = Request(proc, "send")
@@ -324,18 +324,31 @@ class Communicator:
             )
         finally:
             self._ack_waiters.pop(key, None)
+            if not accepted_once:
+                self._mark_done(msg.src, msg.seq)  # never arrives now
+
+    def _mark_done(self, src: int, seq: int) -> bool:
+        """Record ``seq`` from ``src`` as done; False if it already was."""
+        low = self._done_below.get(src, 0)
+        above = self._done_above.setdefault(src, set())
+        if seq < low or seq in above:
+            return False
+        above.add(seq)
+        while low in above:
+            above.remove(low)
+            low += 1
+        self._done_below[src] = low
+        return True
 
     def _transport_accept(self, msg: Message, flow_id: int | None = None) -> None:
         """Receiver-side transport: dedup, enqueue, and schedule the ack."""
         obs = self.mpi.obs
         enabled = obs.enabled
-        key = (msg.src, msg.seq)
-        if key in self._delivered:
+        if not self._mark_done(msg.src, msg.seq):
             self.mpi.stats["duplicates"] += 1
             if enabled:
                 obs.instant("mpi", f"dup t{msg.tag}", msg.dst, src=msg.src)
         else:
-            self._delivered.add(key)
             self.mpi._queue(msg.dst, self.comm_id).put(msg)
             if enabled:
                 obs.instant(
@@ -380,17 +393,7 @@ class Communicator:
             raise MpiError(f"recv tag must be >= 0 or ANY_TAG, got {tag}")
 
         store = self.mpi._queue(dst, self.comm_id)
-        if type(store) is MatchStore:
-            get = store.get_match(src, tag)
-        else:
-            def match(msg: Message) -> bool:
-                if src != ANY_SOURCE and msg.src != src:
-                    return False
-                if tag != ANY_TAG and msg.tag != tag:
-                    return False
-                return True
-
-            get = store.get(match)
+        get = store.get_match(src, tag)
         request = Request(get, "recv", canceller=lambda: store.cancel(get))
         if self.mpi.analysis.enabled and not self.service:
             self.mpi.analysis.mpi.on_irecv(

@@ -1,37 +1,25 @@
-"""Slotted MPI message matching: the fast kernel's match tables.
+"""Slotted MPI message matching.
 
-The reference implementation of message matching is a
-:class:`~repro.sim.resources.Store` holding every buffered message for
-one ``(rank, comm)`` pair, with each receive expressed as a predicate
-closure over ``(src, tag)``.  Matching then costs a linear scan of all
-buffered messages per receive and a getters × items fixpoint per
-delivery — fine at 4 nodes, dominant at 64.
-
-:class:`MatchStore` keeps the exact same externally observable behavior
-(same events, created in the same order, firing at the same times — the
-digest property tests assert bit-identical event streams against the
-reference) while making both directions O(1) for the common case:
+MPI matching pairs an arriving message with the *earliest-posted*
+pending receive whose ``(src, tag)`` pattern it fits, and a posted
+receive with the *earliest-arrived* buffered message it fits.  A
+:class:`~repro.sim.resources.Store` with predicate getters does exactly
+that with linear scans; :class:`MatchStore` makes both directions O(1)
+for the common case:
 
 * buffered messages live in per-``(src, tag)`` slots, stamped with a
-  global arrival sequence so wildcard receives can compare slot heads;
-  the ``ANY_SOURCE``-by-tag pattern — mass fan-in on one tag — skips
-  even that scan via a per-tag arrival FIFO with lazy stale discard;
-* pending receives live in four pattern buckets — exact ``(src, tag)``,
-  ``ANY_SOURCE``-by-tag, ``ANY_TAG``-by-src, and fully wild — stamped
-  with a posting sequence so a delivery picks the earliest-posted match
-  by comparing at most four bucket heads;
-* ``cancel`` is lazy O(1): withdrawn receives are dropped from the
-  pending set and swept from bucket heads on the next match attempt
-  (the heartbeat monitor cancels one receive per missed window, which
-  made the reference's O(getters) scan a hot path under fault storms).
+  global arrival sequence so wildcard receives compare slot heads; a
+  per-tag arrival FIFO serves ``ANY_SOURCE``-by-tag (mass fan-in);
+* pending receives live in buckets keyed by their own pattern (``-1``
+  wildcards), stamped with a posting sequence, so a delivery compares
+  the heads of the at most four buckets it fits;
+* ``cancel`` pops cancelled entries off the head of their bucket.
 
-Equivalence argument: an unbounded Store is always at a fixpoint where
-no waiting getter matches any buffered item.  A ``put`` can therefore
-pair only the new message — with the *earliest-posted* matching receive
-(the reference dispatch scans getters in FIFO order).  A ``get`` can
-pair only the new receive — with the *earliest-arrival* matching
-message (the reference getter scans items in FIFO order).  Those two
-rules are exactly what the bucket/slot heads implement.
+State is bounded by live traffic, not history: every bucket, slot and
+FIFO head is live, and a drained bucket, slot or FIFO is deleted (data
+transfers use one tag each, so kept empties grow with message count).
+``tests/mpi/test_matchtable.py`` replays random operation sequences
+against the predicate Store to pin the equivalence.
 """
 
 from __future__ import annotations
@@ -40,49 +28,52 @@ from collections import deque
 from typing import Any
 
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Store
 
 #: Wildcards (mirrors :data:`repro.mpi.comm.ANY_SOURCE` / ``ANY_TAG``
 #: without a circular import).
 _ANY = -1
+_WILD = (_ANY, _ANY)
 
 
-class MatchStore(Store):
-    """A Store specialized for MPI ``(src, tag)`` matching.
+class MatchStore:
+    """One ``(rank, communicator)`` matching queue.
 
-    Only the unbounded form is supported (MPI matching queues are never
-    bounded), and receives must be posted through :meth:`get_match`;
-    the generic predicate :meth:`get` is disabled so an accidental
-    fallback to linear matching cannot hide here.
+    Messages enter through :meth:`put` and receives are posted through
+    :meth:`get_match`; the queue is unbounded, as MPI matching queues
+    are.
     """
 
+    __slots__ = ("sim", "name", "_put_name", "_get_name", "_slots",
+                 "_tag_fifo", "_arrival", "_waiting", "_posted",
+                 "_pending", "_n_items")
+
     def __init__(self, sim: Simulator, name: str = ""):
-        super().__init__(sim, capacity=None, name=name)
+        self.sim = sim
+        self.name = name or "store"
+        self._put_name = "put:" + self.name
+        self._get_name = "get:" + self.name
         #: Buffered messages per (src, tag), as (arrival_seq, msg).
         self._slots: dict[tuple[int, int], deque[tuple[int, Any]]] = {}
         #: Per-tag arrival FIFO of (arrival_seq, slot_key).  An
-        #: ``ANY_SOURCE``-by-tag receive pops this instead of scanning
-        #: every live ``(src, tag)`` slot: with N sources fanning in on
-        #: one tag (the event system's drain pattern) the slot scan is
-        #: O(N) per receive — O(N^2) per drain.  Entries whose message
-        #: was consumed by another pattern are discarded lazily; within
-        #: one slot arrivals strictly increase, so the first live entry
-        #: is the tag's global earliest arrival — the same message the
-        #: scan would pick, keeping the digest tests bit-identical.
+        #: ``ANY_SOURCE``-by-tag receive takes this FIFO's head instead
+        #: of scanning every live ``(src, tag)`` slot: with N sources
+        #: fanning in on one tag (the event system's drain pattern) the
+        #: slot scan is O(N) per receive — O(N^2) per drain.  Entries
+        #: whose message another pattern consumed go stale; they are
+        #: swept off the head after every consumption, and within one
+        #: slot arrivals strictly increase, so the head is always the
+        #: tag's earliest buffered arrival.
         self._tag_fifo: dict[int, deque[tuple[int, tuple[int, int]]]] = {}
         self._arrival = 0
-        #: Pending receives per pattern, as (post_seq, event, key).
-        self._g_exact: dict[tuple[int, int], deque[tuple[int, Event]]] = {}
-        self._g_bytag: dict[int, deque[tuple[int, Event]]] = {}
-        self._g_bysrc: dict[int, deque[tuple[int, Event]]] = {}
-        self._g_any: deque[tuple[int, Event]] = deque()
+        #: Pending receives per pattern bucket — the receive's own
+        #: ``(src, tag)`` with ``-1`` wildcards — as (post_seq, event).
+        self._waiting: dict[tuple[int, int], deque[tuple[int, Event]]] = {}
         self._posted = 0
-        #: Receives still pending (drives O(1) cancel; bucket entries
-        #: missing from this set were cancelled and are swept lazily).
-        self._pending: set[Event] = set()
+        #: Receives still pending -> their bucket's pattern.  Bucket
+        #: entries missing from here were cancelled.
+        self._pending: dict[Event, tuple[int, int]] = {}
         self._n_items = 0
 
-    # -- Store API kept coherent ------------------------------------------
     def __len__(self) -> int:
         return self._n_items
 
@@ -90,7 +81,7 @@ class MatchStore(Store):
     def items(self) -> tuple:
         """Buffered messages in arrival order (inspection only)."""
         entries = [e for slot in self._slots.values() for e in slot]
-        entries.sort()
+        entries.sort(key=lambda e: e[0])
         return tuple(msg for _arr, msg in entries)
 
     def peek(self, filter=None) -> Any | None:
@@ -99,24 +90,15 @@ class MatchStore(Store):
                 return item
         return None
 
-    def get(self, filter=None) -> Event:
-        raise TypeError(
-            "MatchStore receives must use get_match(src, tag); "
-            "predicate get() would reintroduce the linear scan"
-        )
-
     # -- matching ----------------------------------------------------------
-    def _live_head(self, bucket: deque[tuple[int, Event]] | None):
-        """First non-cancelled entry of a bucket (sweeping stale heads)."""
-        if not bucket:
-            return None
+    def _trim(self, pattern: tuple[int, int]) -> None:
+        """Pop cancelled entries off a bucket's head; drop it if empty."""
+        bucket = self._waiting[pattern]
         pending = self._pending
-        while bucket:
-            entry = bucket[0]
-            if entry[1] in pending:
-                return entry
-            bucket.popleft()  # cancelled; swept lazily
-        return None
+        while bucket and bucket[0][1] not in pending:
+            bucket.popleft()
+        if not bucket:
+            del self._waiting[pattern]
 
     def put(self, item: Any) -> Event:
         ev = self.sim.event(self._put_name)
@@ -124,39 +106,30 @@ class MatchStore(Store):
         self.sim._schedule(ev)
         src = item.src
         tag = item.tag
-        # Earliest-posted pending receive among the four pattern buckets.
-        best = self._live_head(self._g_exact.get((src, tag)))
-        best_bucket = None
-        cand = self._live_head(self._g_bytag.get(tag))
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best, best_bucket = cand, self._g_bytag[tag]
-        cand = self._live_head(self._g_bysrc.get(src))
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best, best_bucket = cand, self._g_bysrc[src]
-        cand = self._live_head(self._g_any)
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best, best_bucket = cand, self._g_any
+        # Earliest-posted pending receive among the four pattern buckets
+        # the message fits (every bucket head is live).
+        best = pattern = None
+        for key in ((src, tag), (_ANY, tag), (src, _ANY), _WILD):
+            cand = self._waiting.get(key)
+            if cand is not None and (best is None or cand[0][0] < best[0][0]):
+                best, pattern = cand, key
         if best is not None:
-            if best_bucket is None:
-                best_bucket = self._g_exact[(src, tag)]
-            best_bucket.popleft()
-            gev = best[1]
-            self._pending.discard(gev)
+            gev = best.popleft()[1]
+            del self._pending[gev]
+            self._trim(pattern)
             gev._value = item
             self.sim._schedule(gev)
-        else:
-            slot = self._slots.get((src, tag))
-            if slot is None:
-                slot = deque()
-                self._slots[(src, tag)] = slot
-            slot.append((self._arrival, item))
-            fifo = self._tag_fifo.get(tag)
-            if fifo is None:
-                fifo = deque()
-                self._tag_fifo[tag] = fifo
-            fifo.append((self._arrival, (src, tag)))
-            self._arrival += 1
-            self._n_items += 1
+            return ev
+        slot = self._slots.get((src, tag))
+        if slot is None:
+            slot = self._slots[(src, tag)] = deque()
+        slot.append((self._arrival, item))
+        fifo = self._tag_fifo.get(tag)
+        if fifo is None:
+            fifo = self._tag_fifo[tag] = deque()
+        fifo.append((self._arrival, (src, tag)))
+        self._arrival += 1
+        self._n_items += 1
         return ev
 
     def get_match(self, src: int, tag: int) -> Event:
@@ -164,34 +137,18 @@ class MatchStore(Store):
         ev = self.sim.event(self._get_name)
         # Earliest-arrival buffered message matching the pattern.
         best_key: tuple[int, int] | None = None
-        best_arr = -1
         if src != _ANY and tag != _ANY:
-            slot = self._slots.get((src, tag))
-            if slot:
+            if (src, tag) in self._slots:
                 best_key = (src, tag)
-                best_arr = slot[0][0]
         elif src == _ANY and tag != _ANY:
-            # ANY_SOURCE by tag: pop the per-tag arrival FIFO instead
-            # of scanning every live slot.  Entries are stale when the
-            # slot is gone or its head arrival moved past the recorded
-            # one (consumed by an exact / by-src / fully-wild receive);
-            # the first live entry is the tag's earliest arrival.
             fifo = self._tag_fifo.get(tag)
-            while fifo:
-                arr, key = fifo[0]
-                slot = self._slots.get(key)
-                if slot is not None and slot[0][0] == arr:
-                    fifo.popleft()
-                    best_key = key
-                    best_arr = arr
-                    break
-                fifo.popleft()  # stale: message already consumed
-            if fifo is not None and not fifo:
-                del self._tag_fifo[tag]
+            if fifo is not None:
+                best_key = fifo[0][1]
         else:
             # Wildcard: compare the heads of the matching slots.  Slots
             # are deleted when drained, so this scans live traffic
             # classes, not history.
+            best_arr = -1
             for key, slot in self._slots.items():
                 if src != _ANY and key[0] != src:
                     continue
@@ -207,37 +164,32 @@ class MatchStore(Store):
             if not slot:
                 del self._slots[best_key]
             self._n_items -= 1
+            # Sweep consumed messages off the tag FIFO's head.
+            fifo = self._tag_fifo[best_key[1]]
+            while fifo:
+                arr, key = fifo[0]
+                slot = self._slots.get(key)
+                if slot is not None and slot[0][0] == arr:
+                    break
+                fifo.popleft()
+            else:
+                del self._tag_fifo[best_key[1]]
             ev._value = item  # inlined succeed()
             self.sim._schedule(ev)
             return ev
-        entry = (self._posted, ev)
+        pattern = (src, tag)
+        bucket = self._waiting.get(pattern)
+        if bucket is None:
+            bucket = self._waiting[pattern] = deque()
+        bucket.append((self._posted, ev))
         self._posted += 1
-        self._pending.add(ev)
-        if src != _ANY and tag != _ANY:
-            bucket = self._g_exact.get((src, tag))
-            if bucket is None:
-                bucket = deque()
-                self._g_exact[(src, tag)] = bucket
-            bucket.append(entry)
-        elif src == _ANY and tag != _ANY:
-            bucket = self._g_bytag.get(tag)
-            if bucket is None:
-                bucket = deque()
-                self._g_bytag[tag] = bucket
-            bucket.append(entry)
-        elif src != _ANY:
-            bucket = self._g_bysrc.get(src)
-            if bucket is None:
-                bucket = deque()
-                self._g_bysrc[src] = bucket
-            bucket.append(entry)
-        else:
-            self._g_any.append(entry)
+        self._pending[ev] = pattern
         return ev
 
     def cancel(self, get_event: Event) -> bool:
-        """Withdraw a pending receive in O(1) (lazy bucket sweep)."""
-        if get_event in self._pending:
-            self._pending.discard(get_event)
-            return True
-        return False
+        """Withdraw a pending receive; True if it was still pending."""
+        pattern = self._pending.pop(get_event, None)
+        if pattern is None:
+            return False
+        self._trim(pattern)
+        return True

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator
-
-import networkx as nx
 
 from repro.omp.task import Task
 
@@ -12,28 +11,33 @@ from repro.omp.task import Task
 class TaskGraph:
     """A DAG of :class:`Task` nodes with dependence edges.
 
-    Thin, typed wrapper over :class:`networkx.DiGraph`; nodes are task
-    ids (so the graph hashes cheaply) with the Task attached as a node
-    attribute.
+    Nodes are task ids; the graph is two insertion-ordered adjacency
+    dicts (``id -> {neighbour id: None}``), so nodes, successors and
+    edges iterate in insertion order and a duplicate edge is a no-op.
     """
 
     def __init__(self):
-        self._g = nx.DiGraph()
         self._tasks: dict[int, Task] = {}
+        self._succ: dict[int, dict[int, None]] = {}
+        self._pred: dict[int, dict[int, None]] = {}
 
     # -- construction ----------------------------------------------------
     def add_task(self, task: Task) -> None:
-        if task.task_id in self._tasks:
-            raise ValueError(f"duplicate task id {task.task_id}")
-        self._tasks[task.task_id] = task
-        self._g.add_node(task.task_id)
+        tid = task.task_id
+        if tid in self._tasks:
+            raise ValueError(f"duplicate task id {tid}")
+        self._tasks[tid] = task
+        self._succ[tid] = {}
+        self._pred[tid] = {}
 
     def add_edge(self, pred: Task, succ: Task) -> None:
-        if pred.task_id not in self._tasks or succ.task_id not in self._tasks:
+        u, v = pred.task_id, succ.task_id
+        if u not in self._tasks or v not in self._tasks:
             raise ValueError("both endpoints must be added before the edge")
-        if pred.task_id == succ.task_id:
+        if u == v:
             raise ValueError("self-dependence is not allowed")
-        self._g.add_edge(pred.task_id, succ.task_id)
+        self._succ[u][v] = None  # a duplicate keeps its first position
+        self._pred[v][u] = None
 
     # -- inspection ----------------------------------------------------------
     def __len__(self) -> int:
@@ -44,7 +48,7 @@ class TaskGraph:
 
     @property
     def num_edges(self) -> int:
-        return self._g.number_of_edges()
+        return sum(map(len, self._succ.values()))
 
     def task(self, task_id: int) -> Task:
         return self._tasks[task_id]
@@ -54,45 +58,72 @@ class TaskGraph:
         return iter(self._tasks.values())
 
     def predecessors(self, task: Task) -> list[Task]:
-        return [self._tasks[t] for t in sorted(self._g.predecessors(task.task_id))]
+        return [self._tasks[t] for t in sorted(self._pred[task.task_id])]
 
     def successors(self, task: Task) -> list[Task]:
-        return [self._tasks[t] for t in sorted(self._g.successors(task.task_id))]
+        return [self._tasks[t] for t in sorted(self._succ[task.task_id])]
 
     def in_degree(self, task: Task) -> int:
-        return self._g.in_degree(task.task_id)
+        return len(self._pred[task.task_id])
 
     def roots(self) -> list[Task]:
         return [t for t in self.tasks() if self.in_degree(t) == 0]
 
+    def ancestors(self, task: Task) -> set[int]:
+        """Ids of every task with a path to ``task`` (itself excluded)."""
+        seen: set[int] = set()
+        stack = [task.task_id]
+        while stack:
+            for tid in self._pred[stack.pop()]:
+                if tid not in seen:
+                    seen.add(tid)
+                    stack.append(tid)
+        return seen
+
     def validate(self) -> None:
         """Raise if the graph has a cycle (dependences must form a DAG)."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            cycle = nx.find_cycle(self._g)
-            raise ValueError(f"task graph has a cycle: {cycle}")
+        self.topological_order()
 
     def topological_order(self) -> list[Task]:
-        """Deterministic topological order (ties broken by task id)."""
-        order = nx.lexicographical_topological_sort(self._g)
-        return [self._tasks[tid] for tid in order]
+        """Deterministic topological order (ties broken by task id): a
+        heap-based Kahn sort, smallest ready id first."""
+        indeg = {tid: len(p) for tid, p in self._pred.items()}
+        ready = [tid for tid, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[Task] = []
+        while ready:
+            tid = heapq.heappop(ready)
+            order.append(self._tasks[tid])
+            for nxt in self._succ[tid]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    heapq.heappush(ready, nxt)
+        if len(order) < len(indeg):
+            # Every task left over waits on another left-over one, so a
+            # walk over left-over predecessors must revisit a task.
+            path = [min(t for t, d in indeg.items() if d)]
+            while path.count(path[-1]) < 2:
+                path.append(min(p for p in self._pred[path[-1]] if indeg[p]))
+            loop = path[path.index(path[-1]):][::-1]
+            raise ValueError(
+                f"task graph has a cycle: {list(zip(loop, loop[1:]))}"
+            )
+        return order
 
     def critical_path_cost(self) -> float:
         """Length of the longest compute-cost path (zero-cost comms)."""
         best: dict[int, float] = {}
         for task in self.topological_order():
-            incoming = [
-                best[p.task_id] for p in self.predecessors(task)
-            ] or [0.0]
-            best[task.task_id] = max(incoming) + task.cost
-        return max(best.values()) if best else 0.0
+            best[task.task_id] = task.cost + max(
+                (best[p] for p in self._pred[task.task_id]), default=0.0)
+        return max(best.values(), default=0.0)
 
     def total_cost(self) -> float:
         return sum(t.cost for t in self.tasks())
 
     def edges(self) -> Iterable[tuple[Task, Task]]:
-        for u, v in self._g.edges():
-            yield self._tasks[u], self._tasks[v]
-
-    def nx_graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (read-only by convention)."""
-        return self._g
+        """Edges node by node, each node's successors in insertion order."""
+        tasks = self._tasks
+        for u, out in self._succ.items():
+            for v in out:
+                yield tasks[u], tasks[v]

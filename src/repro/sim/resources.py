@@ -100,8 +100,8 @@ class Store:
     ``put(item)`` returns an event that fires once the item is accepted;
     ``get()`` returns an event that fires with the next item.  Getters
     may pass a ``filter`` predicate; filtered getters scan the buffered
-    items in FIFO order, so matching is deterministic.  This is the
-    mechanism behind MPI message matching.
+    items in FIFO order, so matching is deterministic.  MPI matching
+    uses the equivalent :class:`~repro.mpi.matchtable.MatchStore`.
     """
 
     def __init__(self, sim: Simulator, capacity: int | None = None, name: str = ""):

@@ -465,20 +465,24 @@ class TestHeartbeatLossHardening:
         assert ring.suspicions_cleared >= 1
 
     def test_missed_windows_do_not_leak_receives(self):
-        # Each missed window must withdraw its unmatched irecv; before
-        # the fix every miss left a stale getter on node 3's queue.
+        # Each missed window must withdraw its unmatched irecv, and the
+        # withdrawn receive must leave node 3's match table too: a
+        # cancelled entry kept in its bucket grows the table by one per
+        # missed window (hundreds over this run).
         plan = FaultPlan(losses=[LinkLoss(probability=1.0, src=2, dst=3)])
         cluster, mpi, events, ring = self.make_lossy_ring(plan)
         ring.start()
 
         def stopper():
-            yield cluster.sim.timeout(0.08)
+            yield cluster.sim.timeout(0.8)
             ring.stop()
 
         cluster.sim.process(stopper())
-        cluster.sim.run(until=0.2)
+        cluster.sim.run(until=1.0)
+        assert ring.missed_windows > 100
         store = mpi._queue(3, ring.comm.comm_id)
-        assert len(store._getters) <= 1  # only the live window's receive
+        assert len(store._pending) <= 1  # only the live window's receive
+        assert sum(map(len, store._waiting.values())) <= 1
 
     def test_real_failure_still_detected_under_loss(self):
         plan = FaultPlan(seed=2, losses=[LinkLoss(probability=0.2)])
@@ -679,6 +683,29 @@ class TestCheckpointRecovery:
         assert sorted(res.failures) == [1, 3]
         for out in outputs:
             np.testing.assert_allclose(out, model * 2.0)
+
+    def test_exit_data_delete_waits_for_inflight_snapshot_read(self):
+        # The checkpointer's snapshot RETRIEVE of out2 loses its first
+        # transmission; exit-data's RETRIEVE and DELETE of the same
+        # buffer follow 30 us later.  The DELETE used to reach node 4
+        # before the retransmitted read, which then crashed the run
+        # with "read of non-resident buffer".
+        from tests.property.test_golden_digests import _mixed
+
+        prog = _mixed()
+        cfg = dataclasses.replace(FAST, checkpoint_interval=0.02)
+        res = FaultTolerantRuntime(ClusterSpec(num_nodes=5), cfg).run(
+            prog,
+            failures=[NodeFailure(time=0.01, node=3)],
+            fault_plan=FaultPlan(seed=11, losses=[LinkLoss(0.05)]),
+        )
+        assert res.failures == [3]
+        assert res.checkpoints_taken >= 1
+        assert res.transport["retransmissions"]
+        bufs = {b.name: b.data for b in prog.buffers}
+        for i in range(4):
+            np.testing.assert_array_equal(bufs[f"out{i}"], bufs["model"] * 2)
+        np.testing.assert_array_equal(bufs["x"], np.full(8, 4.0))
 
     def test_no_checkpoints_taken_when_disabled(self):
         prog, _, _ = shots_program()

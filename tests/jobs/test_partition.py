@@ -39,7 +39,7 @@ class TestClusterView:
         cluster = Cluster(ClusterSpec(num_nodes=6))
         view = ClusterView(cluster, (2, 4))
         assert view.node(0).cpu is cluster.node(2).cpu
-        assert view.node(1).memory is cluster.node(4).memory
+        assert view.node(1).cpu is cluster.node(4).cpu
 
     def test_rejects_bad_node_sets(self):
         cluster = Cluster(ClusterSpec(num_nodes=4))

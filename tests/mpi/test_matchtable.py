@@ -1,4 +1,5 @@
-"""MatchStore: slotted MPI matching equivalent to the linear-scan Store."""
+"""MatchStore: slotted MPI matching equivalent to the linear-scan Store,
+in state bounded by live traffic."""
 
 from __future__ import annotations
 
@@ -88,8 +89,10 @@ class TestMatching:
         assert recv.value is msg
 
     def test_predicate_get_is_disabled(self):
+        # Receives go through get_match; there is no predicate get()
+        # that would reintroduce the linear scan.
         store = MatchStore(Simulator())
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             store.get(lambda m: True)
 
     def test_items_and_peek_in_arrival_order(self):
@@ -173,6 +176,60 @@ class TestCancel:
         assert store.cancel(recv) is False
 
 
+class TestBoundedState:
+    """Match state follows live traffic: drained buckets, slots and
+    FIFOs are deleted, and cancelled receives leave their buckets."""
+
+    @staticmethod
+    def assert_drained(store):
+        assert store._slots == {}
+        assert store._tag_fifo == {}
+        assert store._waiting == {}  # exact, by-tag, by-src, wild buckets
+        assert store._pending == {}
+        assert len(store) == 0
+
+    def test_unique_tag_exchanges_and_cancels_leave_nothing(self):
+        store = MatchStore(Simulator())
+        for tag in range(200):
+            src = tag % 5
+            # Receive first (pending bucket), then message first
+            # (slot + tag FIFO), through each pattern in turn.
+            patterns = [(src, tag), (ANY_SOURCE, tag), (src, ANY_TAG),
+                        (ANY_SOURCE, ANY_TAG)]
+            pattern = patterns[tag % 4]
+            recv = store.get_match(*pattern)
+            msg = Msg(src, tag)
+            store.put(msg)
+            assert recv.value is msg
+            late = Msg(src, tag)
+            store.put(late)
+            assert store.get_match(*pattern).value is late
+            # A receive that never matches, withdrawn.
+            assert store.cancel(store.get_match(*pattern))
+        self.assert_drained(store)
+
+    def test_cancelled_entries_behind_a_live_head_are_swept(self):
+        store = MatchStore(Simulator())
+        live = store.get_match(0, 1)
+        dead = [store.get_match(0, 1) for _ in range(3)]
+        for ev in dead:
+            assert store.cancel(ev)
+        assert len(store._waiting[(0, 1)]) == 4  # live head shields them
+        store.put(Msg(0, 1))
+        assert live.triggered
+        self.assert_drained(store)
+
+    def test_consumed_fifo_entries_are_swept(self):
+        # Exact receives consume what the ANY_SOURCE-by-tag FIFO
+        # recorded; the FIFO must not outlive its messages.
+        store = MatchStore(Simulator())
+        for src in range(4):
+            store.put(Msg(src, 9))
+        for src in (1, 3, 2, 0):
+            assert store.get_match(src, 9).value.src == src
+        self.assert_drained(store)
+
+
 class TestReferenceEquivalence:
     """Randomized puts/receives/cancels replayed against the reference
     Store with predicate getters: same deliveries in the same order."""
@@ -209,10 +266,15 @@ class TestReferenceEquivalence:
             ]
             return outcome, cancels, [(m.src, m.tag) for m in store.items]
 
-        fast = replay(
-            MatchStore(Simulator()),
-            lambda s, src, tag: s.get_match(src, tag),
-        )
+        store = MatchStore(Simulator())
+        fast = replay(store, lambda s, src, tag: s.get_match(src, tag))
+        # No drained container survives, and every head is live.
+        assert all(b and b[0][1] in store._pending
+                   for b in store._waiting.values())
+        assert all(store._slots.values())
+        for fifo in store._tag_fifo.values():
+            arr, key = fifo[0]
+            assert store._slots[key][0][0] == arr
         ref = replay(
             Store(Simulator()),
             lambda s, src, tag: s.get(_pred(src, tag)),

@@ -222,3 +222,80 @@ class TestRecvCancellation:
         cluster, mpi = make_world()
         req = mpi.world.rank(0).isend(1, "x", nbytes=16)
         assert not req.cancel()
+
+
+class TestDedupState:
+    """Duplicate suppression keeps a per-source high-water mark plus the
+    done seqs above it: state bounded by the out-of-order window, not by
+    the number of messages ever delivered."""
+
+    def test_lossy_run_leaves_only_high_water_marks(self):
+        plan = FaultPlan(seed=3, losses=[LinkLoss(probability=0.3)])
+        cluster, mpi = make_world(n=3, plan=plan, transport=TransportConfig())
+        sim = cluster.sim
+        comm = mpi.world
+        widest: list[int] = [0]
+
+        def watch(_t, _p, _ev):
+            above = sum(len(s) for s in comm._done_above.values())
+            widest[0] = max(widest[0], above)
+            for src, seqs in comm._done_above.items():
+                low = comm._done_below.get(src, 0)
+                assert all(low < seq < comm._send_seq[src] for seq in seqs)
+
+        sim._event_tap = watch
+
+        def sender(src):
+            r = comm.rank(src)
+            reqs = [r.isend(dst, (src, i), nbytes=256, tag=dst)
+                    for i in range(40) for dst in range(3)]
+            for req in reqs:
+                yield from req.wait()
+
+        def receiver(dst):
+            r = comm.rank(dst)
+            got = []
+            for _ in range(80):
+                msg = yield from r.recv(tag=dst)
+                got.append(msg.payload)
+            return got
+
+        for src in (0, 1):
+            sim.process(sender(src))
+        procs = [sim.process(receiver(dst)) for dst in range(3)]
+        sim.run()
+        assert mpi.stats["retransmissions"] > 0
+        assert mpi.stats["duplicates"] > 0
+        for dst, proc in enumerate(procs):
+            # Exactly once each, self-sends included.
+            assert sorted(proc.value) == sorted(
+                (src, i) for src in (0, 1) for i in range(40)
+            )
+        # Out-of-order delivery happened, and drained back to nothing.
+        assert widest[0] > 0
+        assert comm._done_below == {0: 120, 1: 120}
+        assert not any(comm._done_above.values())
+
+    def test_abandoned_send_does_not_stall_the_mark(self):
+        # Every transmission on 0 -> 1 is lost; the send gives up, and
+        # its seq must not hold back the mark for later seqs to rank 2.
+        plan = FaultPlan(losses=[LinkLoss(probability=1.0, src=0, dst=1)])
+        cluster, mpi = make_world(
+            n=3, plan=plan, transport=TransportConfig(max_retries=2)
+        )
+        sim = cluster.sim
+        comm = mpi.world
+
+        def doomed():
+            try:
+                yield from comm.rank(0).send(1, "lost", nbytes=16, tag=1)
+            except MpiError:
+                return "gave up"
+
+        gave_up = sim.process(doomed())
+        later = [comm.rank(0).isend(2, i, nbytes=16, tag=2) for i in range(5)]
+        sim.run()
+        assert gave_up.value == "gave up"
+        assert all(req.event.ok for req in later)
+        assert comm._done_below == {0: 6}
+        assert not any(comm._done_above.values())

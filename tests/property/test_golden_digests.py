@@ -1,8 +1,8 @@
 """Golden event-stream digests, committed as constants.
 
-``test_kernel_digest`` compares the fast kernel with the reference
-kernel *inside one tree*: a refactor that reorders both the same way
-passes it.  These tests pin the event stream itself.  Each scenario's
+A comparison *inside one tree* (hooks on vs off, as in
+``test_kernel_digest``) passes a refactor that reorders both runs the
+same way.  These tests pin the event stream itself.  Each scenario's
 SHA-256 over every processed ``(time, priority, name)`` — the same tap
 ``test_kernel_digest`` uses — is recorded together with its makespan
 and the simulator's event count (``sim._seq``).  A refactor of the

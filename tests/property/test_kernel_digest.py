@@ -1,17 +1,17 @@
-"""Fast-path kernel equivalence: bit-identical event streams.
+"""Event-stream digests: hooks never perturb the simulation.
 
-The simulator's optimized structures (the two-lane event queue and the
-slotted MPI match tables, gated by ``Simulator(fastpath=...)``) promise
-an *exactly* identical execution to the reference heap/linear-scan
-kernel — same events, processed at the same times, with the same
-priorities, in the same total order, producing the same results.
+An event-order digest is a SHA-256 over every processed event's
+``(time, priority, name)``, captured via ``sim._event_tap``.  Any
+reordering — even of two same-time events — changes it.
 
-These tests enforce that promise with an event-order digest: a SHA-256
-over every processed event's ``(time, priority, name)``, captured via
-``sim._event_tap``.  Any reordering — even of two same-time events —
-changes the digest.  Scenarios cover the Fig. 5 workload shape, several
-Task Bench dependence patterns, observer/analysis hooks on and off, and
-the multi-tenant overload day.
+Observer and analysis hooks promise zero simulated cost: a run with
+every span, counter and checker call on must process the exact event
+stream of the same run with the hooks off.  These tests check that
+inside one tree, and check the hooks-off stream against the committed
+golden digests of ``test_golden_digests``, so a change that reorders
+both the same way still fails.  Scenarios cover several Task Bench
+dependence patterns, the Fig. 5 workload shape and the multi-tenant
+overload day.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import pytest
 from repro.cluster.machine import ClusterSpec
 from repro.core.config import OMPCConfig
 from repro.core.runtime import OMPCRuntime
-from repro.sim import core as simcore
-from repro.sim.core import Simulator, set_fastpath_default
+from repro.sim.core import Simulator
 from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec
 from repro.taskbench.bench import build_omp_program
 
@@ -58,25 +57,19 @@ def _tap_all_sims(digest: "hashlib._Hash"):
         Simulator.__init__ = orig
 
 
-def _run_traced(scenario, fastpath: bool):
-    """Run ``scenario()`` under the given kernel; return (digest, result)."""
+def _run_traced(scenario):
+    """Run ``scenario()`` under the tap; return (digest, result)."""
     digest = hashlib.sha256()
-    old = set_fastpath_default(fastpath)
-    try:
-        with _tap_all_sims(digest):
-            result = scenario()
-    finally:
-        set_fastpath_default(old)
+    with _tap_all_sims(digest):
+        result = scenario()
     return digest.hexdigest(), result
 
 
-def _assert_equivalent(scenario):
-    fast_digest, fast_result = _run_traced(scenario, fastpath=True)
-    ref_digest, ref_result = _run_traced(scenario, fastpath=False)
-    assert fast_digest == ref_digest, (
-        "optimized kernel reordered the event stream"
-    )
-    assert fast_result == ref_result
+def _golden_digest(name: str) -> str:
+    # Imported here: test_golden_digests imports this module's tap.
+    from tests.property.test_golden_digests import GOLDEN
+
+    return GOLDEN[name][0]
 
 
 def _fig5_scenario(pattern: Pattern, nodes: int, steps: int,
@@ -103,6 +96,16 @@ def _fig5_scenario(pattern: Pattern, nodes: int, steps: int,
     return scenario
 
 
+def _assert_hooks_invisible(pattern: Pattern, golden: str):
+    off_digest, off_result = _run_traced(_fig5_scenario(pattern, 4, 4))
+    on_digest, on_result = _run_traced(
+        _fig5_scenario(pattern, 4, 4, trace=True, analysis=True)
+    )
+    assert off_digest == _golden_digest(golden), "event stream reordered"
+    assert on_digest == off_digest, "hooks perturbed the event stream"
+    assert on_result == off_result
+
+
 @pytest.mark.parametrize("pattern", [
     Pattern.STENCIL_1D,
     Pattern.FFT,
@@ -111,16 +114,12 @@ def _fig5_scenario(pattern: Pattern, nodes: int, steps: int,
     Pattern.SPREAD,
 ])
 def test_taskbench_patterns_bit_identical(pattern):
-    _assert_equivalent(_fig5_scenario(pattern, nodes=4, steps=4))
+    _assert_hooks_invisible(pattern, f"taskbench_{pattern.value}")
 
 
 def test_fig5_shape_bit_identical_with_hooks_off_and_on():
-    # Hooks off: the no-op fast path (zero observer/analysis calls).
-    _assert_equivalent(_fig5_scenario(Pattern.STENCIL_1D, 4, 4))
-    # Hooks on: every span/counter emitted, same event stream.
-    _assert_equivalent(
-        _fig5_scenario(Pattern.STENCIL_1D, 4, 4, trace=True, analysis=True)
-    )
+    # The golden hooks-on scenario pins the same stream as hooks off.
+    _assert_hooks_invisible(Pattern.STENCIL_1D, "plain_trace_analysis")
 
 
 def test_overload_day_bit_identical():
@@ -131,17 +130,7 @@ def test_overload_day_bit_identical():
         counts = overload_counts(manager, report)
         return counts, report.horizon, manager.sim._seq
 
-    _assert_equivalent(scenario)
-
-
-def test_fastpath_default_is_on_and_restorable():
-    # The environment default is "on" unless REPRO_SIM_FASTPATH=0; the
-    # setter returns the previous value so tests can scope overrides.
-    old = set_fastpath_default(False)
-    try:
-        assert Simulator()._fastpath is False
-        assert simcore._FASTPATH_DEFAULT is False
-    finally:
-        set_fastpath_default(old)
-    assert Simulator(fastpath=True)._fastpath is True
-    assert Simulator(fastpath=False)._fastpath is False
+    first_digest, first_result = _run_traced(scenario)
+    second_digest, second_result = _run_traced(scenario)
+    assert first_digest == _golden_digest("overload_1x")
+    assert (second_digest, second_result) == (first_digest, first_result)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.omp import Buffer, DependenceAnalyzer, OmpProgram, TaskGraph
 from repro.omp.task import Dep, DepType, Task, TaskKind
 
+from tests.property.nx_oracle import nx_oracle
+
 # A program is a list of tasks; each task is a list of (buffer_index,
 # dep_type) clause items over a small pool of buffers.
 dep_types = st.sampled_from([DepType.IN, DepType.OUT, DepType.INOUT])
@@ -52,7 +54,7 @@ def test_conflicting_accesses_are_ordered(program_clauses):
     """Any two tasks where at least one writes a shared buffer must be
     connected by a directed path (the fundamental OpenMP guarantee)."""
     _, tasks, graph = build(program_clauses)
-    g = graph.nx_graph()
+    g = nx_oracle(graph)
     closure = nx.transitive_closure_dag(g)
     for i, earlier in enumerate(tasks):
         for later in tasks[i + 1:]:
@@ -78,7 +80,7 @@ def test_readers_between_writes_not_serialized(program_clauses):
     """Two pure readers of the same buffer (with no write in between)
     must NOT have a direct edge (reads may run concurrently)."""
     _, tasks, graph = build(program_clauses)
-    g = graph.nx_graph()
+    g = nx_oracle(graph)
     # Track, per buffer, groups of consecutive readers.
     last_writer: dict[int, int] = {}
     readers_since: dict[int, list[int]] = {}

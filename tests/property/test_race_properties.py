@@ -24,6 +24,8 @@ from repro.analysis import RaceDetector
 from repro.omp import DependenceAnalyzer, TaskGraph
 from repro.omp.task import Buffer, Dep, DepType, Task, TaskKind
 
+from tests.property.nx_oracle import nx_oracle
+
 dep_types = st.sampled_from([DepType.IN, DepType.OUT, DepType.INOUT])
 clause = st.tuples(st.integers(min_value=0, max_value=3), dep_types)
 program_strategy = st.lists(
@@ -103,7 +105,7 @@ def test_dropped_edge_detected_iff_pair_left_unordered(
     dropped = data.draw(st.sampled_from(edges), label="dropped edge")
 
     graph = assemble(tasks, drop_edge=dropped)
-    closure = nx.transitive_closure_dag(graph.nx_graph())
+    closure = nx.transitive_closure_dag(nx_oracle(graph))
 
     expected = {
         (frozenset((a.name, b.name)), buf.name)

@@ -8,11 +8,12 @@ Two bit-identity promises guard the sharded plane (repro.core.shard):
   run must produce the exact event stream of a default-config run —
   same SHA-256 over every processed ``(time, priority, name)``.
 
-* The sharded plane itself rides the optimized simulator kernel.  A
-  multi-shard run under ``fastpath=True`` must be bit-identical to the
-  same run on the reference heap/linear-scan kernel — this also pins
-  the ``MatchStore`` per-tag FIFO (ANY_SOURCE-by-tag matching), which
-  the shard lease/notify traffic exercises hard.
+* Hooks cost the sharded plane no simulated time.  A multi-shard run
+  with trace and analysis on must be bit-identical to the same run
+  with them off, and the hooks-off stream must match the committed
+  golden digest — this also pins the ``MatchStore`` per-tag FIFO
+  (ANY_SOURCE-by-tag matching), which the shard lease/notify traffic
+  exercises hard.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.core.runtime import OMPCRuntime
 from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec
 from repro.taskbench.bench import build_omp_program
 
+from tests.property.test_golden_digests import GOLDEN
 from tests.property.test_kernel_digest import _run_traced, _tap_all_sims
 
 BANDWIDTH = 100e9 / 8.0
@@ -112,18 +114,20 @@ def test_single_shard_run_leaves_sharded_modules_unloaded():
 
 
 @pytest.mark.parametrize("shards,nodes", [(2, 8), (4, 16)])
-def test_sharded_run_fast_vs_reference_bit_identical(shards, nodes):
-    cfg = OMPCConfig(head_shards=shards)
-    fast_digest, fast_result = _run_traced(
-        _scenario(nodes, 3, cfg), fastpath=True
+def test_sharded_run_hooks_on_vs_off_bit_identical(shards, nodes):
+    off_digest, off_result = _run_traced(_scenario(
+        nodes, 3, OMPCConfig(head_shards=shards, gossip=True)
+    ))
+    on_digest, on_result = _run_traced(_scenario(
+        nodes, 3,
+        OMPCConfig(head_shards=shards, gossip=True, trace=True,
+                   analysis=True),
+    ))
+    assert off_digest == GOLDEN[f"sharded_k{shards}_gossip"][0], (
+        "the sharded plane's event stream was reordered"
     )
-    ref_digest, ref_result = _run_traced(
-        _scenario(nodes, 3, cfg), fastpath=False
-    )
-    assert fast_digest == ref_digest, (
-        "optimized kernel reordered the sharded plane's event stream"
-    )
-    assert fast_result == ref_result
+    assert on_digest == off_digest, "hooks perturbed the event stream"
+    assert on_result == off_result
 
 
 def test_sharded_run_is_deterministic():

@@ -1,7 +1,7 @@
 """Property-based tests for Task Bench patterns, specs, and the bench
 config parser."""
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.config import parse_yaml
@@ -13,6 +13,8 @@ from repro.taskbench import (
     dependencies,
     dependents,
 )
+
+from tests.property.nx_oracle import nx_oracle
 
 widths = st.sampled_from([1, 2, 4, 8, 16, 32])
 patterns = st.sampled_from(list(Pattern))
@@ -75,10 +77,9 @@ def test_built_program_edge_superset_of_pattern(pattern, width, steps):
         (t.meta["step"], t.meta["point"]): t.task_id
         for t in prog.graph.tasks()
     }
-    g = prog.graph.nx_graph()
     import networkx as nx
 
-    closure = nx.transitive_closure_dag(g)
+    closure = nx.transitive_closure_dag(nx_oracle(prog.graph))
     for step in range(1, steps):
         for point in range(width):
             for q in spec.deps(step, point):

@@ -3,6 +3,7 @@ process-table compaction, and O(1) interrupt semantics."""
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
@@ -27,23 +28,26 @@ def _trace(sim: Simulator) -> list[tuple[float, int, str]]:
 # two-lane event queue
 # ---------------------------------------------------------------------------
 
-def _same_time_program(sim: Simulator) -> None:
-    # Fast lane: a, b then c; heap: the urgent event (scheduled between
-    # b and c).  URGENT must pre-empt all same-time NORMAL events even
-    # though it entered the queue later.
-    sim.timeout(0.0).name = "a"
-    sim.timeout(0.0).name = "b"
+def _same_time_program(sim: Simulator, urgent_first: bool) -> None:
+    # Fast lane: a, b then c; heap: the urgent event (scheduled first,
+    # or between b and c).  URGENT must pre-empt all same-time NORMAL
+    # events wherever it entered the queue.
     urgent = sim.event("u")
     urgent._value = None
-    sim._schedule(urgent, 0.0, URGENT)
+    if urgent_first:
+        sim._schedule(urgent, 0.0, URGENT)
+    sim.timeout(0.0).name = "a"
+    sim.timeout(0.0).name = "b"
+    if not urgent_first:
+        sim._schedule(urgent, 0.0, URGENT)
     sim.timeout(0.0).name = "c"
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_same_time_urgent_preempts_fifo(fastpath):
-    sim = Simulator(fastpath=fastpath)
+@pytest.mark.parametrize("urgent_first", [True, False])
+def test_same_time_urgent_preempts_fifo(urgent_first):
+    sim = Simulator()
     seen = _trace(sim)
-    _same_time_program(sim)
+    _same_time_program(sim, urgent_first)
     sim.run()
     assert seen == [
         (0.0, URGENT, "u"),
@@ -54,7 +58,7 @@ def test_same_time_urgent_preempts_fifo(fastpath):
 
 
 def test_future_event_does_not_overtake_fast_lane():
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
     seen = _trace(sim)
     sim.timeout(1.0).name = "later"
     sim.timeout(0.0).name = "now"
@@ -64,7 +68,7 @@ def test_future_event_does_not_overtake_fast_lane():
 
 
 def test_callback_scheduling_now_lands_at_current_time():
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
     seen = _trace(sim)
     later = sim.timeout(1.0)
     later.name = "later"
@@ -74,7 +78,7 @@ def test_callback_scheduling_now_lands_at_current_time():
 
 
 def test_run_until_time_leaves_future_events_queued():
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
     seen = _trace(sim)
     sim.timeout(0.0).name = "now"
     pending = sim.timeout(1.0)
@@ -88,7 +92,7 @@ def test_run_until_time_leaves_future_events_queued():
 
 
 def test_run_until_event_stops_at_trigger():
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
     done = sim.event("done")
 
     def proc():
@@ -101,39 +105,58 @@ def test_run_until_event_stops_at_trigger():
     assert sim.now == 0.25
 
 
-def test_fast_and_reference_kernels_agree_on_random_schedules():
-    def exercise(fastpath: bool) -> list[tuple[float, int, str]]:
-        rng = random.Random(42)
-        sim = Simulator(fastpath=fastpath)
-        seen = _trace(sim)
+@pytest.mark.parametrize("seed", [42, 7])
+def test_random_schedules_process_in_time_priority_seq_order(seed):
+    # Oracle: a single binary heap keyed (time, priority, seq).  Every
+    # event is pushed onto it as it is scheduled; each event the
+    # two-lane queue processes must be the heap's minimum at that point.
+    rng = random.Random(seed)
+    sim = Simulator()
+    oracle: list[tuple[float, int, int, str]] = []
+    processed: list[str] = []
 
-        def churn(depth: int):
-            for i in range(rng.randint(1, 3)):
-                delay = rng.choice([0.0, 0.0, 0.0, rng.random()])
-                ev = sim.timeout(delay)
-                ev.name = f"t{depth}.{i}"
-                if depth < 3:
-                    ev.add_callback(lambda _ev, d=depth: churn(d + 1))
-            if rng.random() < 0.3:
-                urgent = sim.event(f"u{depth}")
-                urgent._value = None
-                sim._schedule(urgent, 0.0, URGENT)
+    def tap(t, priority, event):
+        want = heapq.heappop(oracle)
+        assert (t, priority, event.name) == (want[0], want[1], want[3])
+        processed.append(event.name)
 
-        churn(0)
-        sim.run()
-        return seen
+    sim._event_tap = tap
 
-    assert exercise(True) == exercise(False)
+    def churn(depth: int):
+        for i in range(rng.randint(1, 3)):
+            delay = rng.choice([0.0, 0.0, 0.0, rng.random()])
+            seq = sim._seq
+            ev = sim.timeout(delay)
+            ev.name = f"t{depth}.{i}.{seq}"
+            heapq.heappush(oracle, (sim.now + delay, NORMAL, seq, ev.name))
+            if depth < 3:
+                ev.add_callback(lambda _ev, d=depth: churn(d + 1))
+        if rng.random() < 0.3:
+            seq = sim._seq
+            urgent = sim.event(f"u{depth}.{seq}")
+            urgent._value = None
+            sim._schedule(urgent, 0.0, URGENT)
+            heapq.heappush(oracle, (sim.now, URGENT, seq, urgent.name))
+
+    churn(0)
+    sim.run()
+    assert not oracle
+    assert len(processed) > 10
+    assert any(name.startswith("u") for name in processed)
 
 
 # ---------------------------------------------------------------------------
 # non-finite input guards
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("fastpath", [True, False])
+@pytest.mark.parametrize("advanced", [True, False])
 @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
-def test_timeout_rejects_bad_delays(fastpath, delay):
-    sim = Simulator(fastpath=fastpath)
+def test_timeout_rejects_bad_delays(advanced, delay):
+    # Once the clock has moved, ``now + delay`` of a negative delay can
+    # still be a valid absolute time; the delay itself must be checked.
+    sim = Simulator()
+    if advanced:
+        sim.run(until=2.0)
     with pytest.raises(ValueError):
         sim.timeout(delay)
 
